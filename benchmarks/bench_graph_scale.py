@@ -48,6 +48,8 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
+from repro import check
+from repro.core.analysis import IncrementalChecker
 from repro.core.argument import Argument, ArgumentError, Link, LinkKind
 from repro.core.nodes import Node, NodeType
 from repro.core.query import (
@@ -709,8 +711,8 @@ def bench_mutation_workload(n: int, chunk: int | None = None) -> dict[str, Any]:
 # measures all of them on a GSN-shaped case saved through the store:
 #
 # * **full** — the pre-scoped baseline, preserved verbatim below the way
-#   PR 1 preserved SeedArgument: RuleSet.check used to _hydrate the
-#   StoredArgument and then run whole-argument rule functions, each
+#   PR 1 preserved SeedArgument: hydrate the StoredArgument with
+#   ``load()``, then run whole-argument rule functions serially, each
 #   scanning every link with a node lookup apiece;
 # * **streaming** — check the shards directly with the node-type sidecar,
 #   never constructing an Argument (asserted via the hydration flag);
@@ -728,13 +730,13 @@ def _legacy_gsn_rules():
     These are the monolithic ``Callable[[Argument], list[Violation]]``
     rule bodies exactly as ``core/wellformed.py`` shipped them before
     the scoped engine (modulo the solution-leaf index walk, kept
-    index-backed as it was).  Adapted through the legacy-``Rule`` path
-    they still measure the old cost model: full hydration plus one scan
-    of the link list per rule with an ``argument.node()`` lookup per
-    link.
+    index-backed as it was), in rule-set order.  Run by
+    :func:`_legacy_check` over a hydrated argument they still measure
+    the old cost model: full hydration plus one scan of the link list
+    per rule with an ``argument.node()`` lookup per link.
     """
     from repro.core.nodes import looks_propositional
-    from repro.core.wellformed import Rule, RuleSet, Violation
+    from repro.core.wellformed import Violation
 
     def supported_by_targets(argument):
         allowed = {NodeType.GOAL, NodeType.STRATEGY, NodeType.SOLUTION,
@@ -881,32 +883,23 @@ def _legacy_gsn_rules():
                 ))
         return out
 
-    return RuleSet("gsn-standard-legacy", (
-        Rule("supported-by-target",
-             "SupportedBy targets goals, strategies, or solutions",
-             supported_by_targets),
-        Rule("supported-by-source",
-             "only goals and strategies cite support",
-             supported_by_sources),
-        Rule("in-context-of-target",
-             "InContextOf targets contextual elements", context_targets),
-        Rule("in-context-of-source",
-             "only goals and strategies attach context", context_sources),
-        Rule("away-goal-solution-context",
-             "solutions cannot contextualise away goals",
-             away_goal_no_solution_context),
-        Rule("solution-leaf", "solutions are terminal",
-             solutions_are_leaves),
-        Rule("single-root", "exactly one root goal", single_root),
-        Rule("acyclic", "no circular support", acyclic),
-        Rule("undeveloped-unmarked",
-             "unsupported goals must be marked undeveloped",
-             developed_or_marked),
-        Rule("strategy-unsupported",
-             "strategies must lead to sub-goals", strategies_supported),
-        Rule("goal-not-proposition",
-             "goal text must be a proposition", goals_propositional),
-    ))
+    return (
+        supported_by_targets, supported_by_sources, context_targets,
+        context_sources, away_goal_no_solution_context,
+        solutions_are_leaves, single_root, acyclic, developed_or_marked,
+        strategies_supported, goals_propositional,
+    )
+
+
+def _legacy_check(argument, legacy_rules) -> list:
+    """Whole-argument rules in order, each rule's output canonically
+    sorted — the scoped engine's output order, for comparison."""
+    out: list = []
+    for rule in legacy_rules:
+        out.extend(sorted(
+            rule(argument), key=lambda v: (v.subject, v.detail)
+        ))
+    return out
 
 
 def gsn_case(n: int) -> tuple[list[NodeSpec], list[LinkSpec]]:
@@ -986,31 +979,26 @@ def bench_wellformed_workload(
     try:
         argument.save(store_dir)
 
-        serial_s, serial = timed(
-            lambda: GSN_STANDARD_RULES.check(argument)
-        )
+        serial_s, serial = timed(lambda: list(check(argument)))
 
         # The pre-PR path: hydrate, then whole-argument legacy rules.
         legacy_rules = _legacy_gsn_rules()
         hydrating = StoredArgument(store_dir)
         full_s, full = timed(
-            lambda: legacy_rules.check(hydrating, mode="full")
+            lambda: _legacy_check(hydrating.load(), legacy_rules)
         )
         assert hydrating.hydrated, "the legacy full check must hydrate"
 
-        # The scoped rules run over a hydrated argument, for reference.
+        # The scoped rules run serially over a hydrated argument, for
+        # reference.
         scoped_full_store = StoredArgument(store_dir)
         scoped_full_s, scoped_full = timed(
-            lambda: GSN_STANDARD_RULES.check(
-                scoped_full_store, mode="full"
-            )
+            lambda: list(check(scoped_full_store.load(), mode="serial"))
         )
 
         streaming_store = StoredArgument(store_dir)
         streaming_s, streaming = timed(
-            lambda: GSN_STANDARD_RULES.check(
-                streaming_store, mode="streaming"
-            )
+            lambda: list(check(streaming_store, mode="streaming"))
         )
         assert not streaming_store.hydrated, (
             "streaming check must not hydrate the store"
@@ -1022,9 +1010,9 @@ def bench_wellformed_workload(
         workers = os.cpu_count() or 1
         parallel_store = StoredArgument(store_dir)
         parallel_s, parallel = timed(
-            lambda: GSN_STANDARD_RULES.check(
+            lambda: list(check(
                 parallel_store, mode="parallel", workers=workers
-            )
+            ))
         )
         assert not parallel_store.hydrated, (
             "parallel check must not hydrate the store"
@@ -1039,7 +1027,9 @@ def bench_wellformed_workload(
         if rounds is None:
             rounds = max(10, min(40, 1_000_000 // max(1, n)))
         incremental_argument = argument.copy()
-        checker = GSN_STANDARD_RULES.incremental(incremental_argument)
+        checker = IncrementalChecker(
+            incremental_argument, GSN_STANDARD_RULES.rules
+        )
         incremental_results: list[int] = []
 
         def run_incremental() -> None:
@@ -1060,7 +1050,7 @@ def bench_wellformed_workload(
                     full_argument, hazards, round_index
                 )
                 full_results.append(
-                    len(GSN_STANDARD_RULES.check(full_argument))
+                    len(check(full_argument))
                 )
 
         incremental_s, _ = timed(run_incremental)
@@ -1068,9 +1058,9 @@ def bench_wellformed_workload(
         assert incremental_results == full_results, (
             "incremental and full rechecks diverged"
         )
-        assert checker.check() == GSN_STANDARD_RULES.check(
-            incremental_argument
-        ), "final incremental state diverged from a fresh check"
+        assert checker.check() == list(check(incremental_argument)), (
+            "final incremental state diverged from a fresh check"
+        )
 
         return {
             "nodes": len(argument),
@@ -1171,7 +1161,9 @@ def bench_journal_workload(
         # full streaming check over the same store.  Neither hydrates.
         checker_store = StoredArgument(journal_dir)
         attach_s, checker = timed(
-            lambda: GSN_STANDARD_RULES.incremental_from_store(checker_store)
+            lambda: IncrementalChecker.from_store(
+                checker_store, GSN_STANDARD_RULES.rules
+            )
         )
         recheck_rounds = max(10, rounds // 2)
         incremental_s = 0.0
@@ -1182,9 +1174,9 @@ def bench_journal_workload(
             elapsed, incremental = timed(checker.check)
             incremental_s += elapsed
             elapsed, streamed = timed(
-                lambda: GSN_STANDARD_RULES.check(
+                lambda: list(check(
                     StoredArgument(journal_dir), mode="streaming"
-                )
+                ))
             )
             streaming_s += elapsed
             assert incremental == streamed, (
@@ -1211,9 +1203,9 @@ def bench_journal_workload(
         }
         byte_stable = compacted_files == fresh_files
         assert byte_stable, "compaction is not byte-stable"
-        assert checker.check() == GSN_STANDARD_RULES.check(
+        assert checker.check() == list(check(
             StoredArgument(journal_dir), mode="streaming"
-        ), "checker did not survive compaction"
+        )), "checker did not survive compaction"
         assert not checker_store.hydrated
 
         return {

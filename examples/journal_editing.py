@@ -9,7 +9,7 @@ persisted deltas re-check the case incrementally without loading it, and
 one ``compact()`` folds the journal back into clean shards.
 
 1. build and ``save()`` a case, then attach a store-backed incremental
-   checker (``RuleSet.incremental_from_store`` — never hydrates),
+   checker (``IncrementalChecker.from_store`` — never hydrates),
 2. run edit rounds: mutate the live argument, ``save(journal=True)``
    appends just the mutation delta as a sealed journal segment,
 3. after each round the checker consumes the persisted delta and
@@ -24,7 +24,8 @@ Run: ``python examples/journal_editing.py``
 import tempfile
 from pathlib import Path
 
-from repro.core import ArgumentBuilder
+from repro import check
+from repro.core import ArgumentBuilder, IncrementalChecker
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
 from repro.core.wellformed import GSN_STANDARD_RULES
@@ -59,7 +60,7 @@ def main() -> None:
           f"{len(base_files)} shards")
 
     stored = StoredArgument(store_dir)
-    checker = GSN_STANDARD_RULES.incremental_from_store(stored)
+    checker = IncrementalChecker.from_store(stored, GSN_STANDARD_RULES.rules)
     print(f"attached store-backed checker: "
           f"{len(checker.check())} violation(s), hydrated={stored.hydrated}")
 
@@ -102,7 +103,7 @@ def main() -> None:
     print(f"gc after compaction removed: {compact_handle.gc() or 'nothing'}")
 
     # The checker notices the new base generation and stays correct.
-    assert checker.check() == GSN_STANDARD_RULES.check(argument)
+    assert checker.check() == list(check(argument))
     print(f"checker survives compaction; hydrated={stored.hydrated}")
 
 

@@ -67,7 +67,6 @@ from .core import (
     Node,
     NodeType,
     SafetyCriterion,
-    is_well_formed,
     run_rules,
 )
 from .core.query import select
@@ -113,7 +112,6 @@ __all__ = [
     "GSN_STANDARD_RULES",
     "DENNEY_PAI_RULES",
     "IncrementalChecker",
-    "is_well_formed",
     "run_rules",
     # claim language
     "ClaimModule",

@@ -16,7 +16,7 @@ contract statically:
   an AST analysis of each scoped rule's callable (closures and helper
   calls resolved one level deep) verifying the rule touches only its
   declared :class:`~repro.core.analysis.RuleContext` surface, flagging
-  hydration-forcing access, mutation of the subject or context, and
+  undeclared context access, mutation of the subject or context, and
   nondeterminism sources — structured findings with severity, rule
   name, and source location;
 * :mod:`~repro.analysis_static.fsck` — **casefsck**: an offline store
@@ -32,7 +32,6 @@ contract statically:
 """
 
 from .auditor import (
-    KIND_HYDRATION,
     KIND_MUTATION,
     KIND_NONDETERMINISM,
     KIND_UNDECLARED,
@@ -63,7 +62,6 @@ __all__ = [
     "audit_streaming_scan",
     "errors_only",
     "KIND_UNDECLARED",
-    "KIND_HYDRATION",
     "KIND_MUTATION",
     "KIND_NONDETERMINISM",
     "KIND_UNREADABLE",

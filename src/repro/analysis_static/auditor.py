@@ -14,12 +14,10 @@ This module walks each rule callable's AST (``inspect.getsource`` +
 deep**, and emits structured :class:`AuditFinding`\\ s:
 
 ``undeclared-context-access``
-    reading a context attribute outside the scope's declared surface;
-``hydration-forcing``
-    touching the documented hydration fallback (``ctx.argument()``) or
-    the subject's ``load``/``argument``/``ensure_argument`` escape
-    hatches — an error for per-node/per-link rules and streaming
-    scans, a warning for global rules (the documented legacy path);
+    reading a context attribute outside the scope's declared surface
+    (``ctx.argument()`` included — the context has no such thing), or
+    reaching past the stream for a hydrated argument through the
+    subject's ``load``/``argument`` attributes or ``ensure_argument``;
 ``mutation``
     assigning to / deleting from the context or subject, or calling a
     mutator method (``add``, ``append``, ``add_node`` …) on them;
@@ -43,7 +41,7 @@ import textwrap
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from ..core.analysis import HYDRATING_CONTEXT, SCOPE_SURFACE, Scope
+from ..core.analysis import SCOPE_SURFACE, Scope
 
 __all__ = [
     "AuditFinding",
@@ -54,7 +52,6 @@ __all__ = [
     "audit_streaming_scan",
     "errors_only",
     "KIND_UNDECLARED",
-    "KIND_HYDRATION",
     "KIND_MUTATION",
     "KIND_NONDETERMINISM",
     "KIND_UNREADABLE",
@@ -63,7 +60,6 @@ __all__ = [
 ]
 
 KIND_UNDECLARED = "undeclared-context-access"
-KIND_HYDRATION = "hydration-forcing"
 KIND_MUTATION = "mutation"
 KIND_NONDETERMINISM = "nondeterminism"
 KIND_UNREADABLE = "unreadable-source"
@@ -82,8 +78,7 @@ _MUTATOR_METHODS = frozenset({
     "add", "append", "extend", "insert", "remove", "discard", "pop",
     "popitem", "clear", "update", "setdefault", "sort", "reverse",
     "add_node", "add_nodes", "add_link", "add_links", "remove_node",
-    "remove_link", "replace_node", "note_node", "note_link",
-    "apply_op", "reset", "finalise", "batch",
+    "remove_link", "replace_node", "apply_op", "finalise", "batch",
 })
 
 # Subject attributes whose access forces hydration of the full
@@ -213,7 +208,6 @@ class _RuleVisitor(ast.NodeVisitor):
         path: str,
         roles: "dict[str, str]",
         allowed_context: "frozenset[str]",
-        hydration_severity: str,
         fn: Callable[..., Any],
         depth: int,
     ) -> None:
@@ -222,7 +216,6 @@ class _RuleVisitor(ast.NodeVisitor):
         self.path = path
         self.roles = dict(roles)
         self.allowed_context = allowed_context
-        self.hydration_severity = hydration_severity
         self.fn = fn
         self.depth = depth
         # Local names known to hold sets (for the iteration-order check).
@@ -362,14 +355,6 @@ class _RuleVisitor(ast.NodeVisitor):
 
     def _check_ctx_attribute(self, node: ast.Attribute, name: str) -> None:
         attr = node.attr
-        if attr in HYDRATING_CONTEXT:
-            self._emit(
-                KIND_HYDRATION, self.hydration_severity,
-                f"ctx.{attr}() forces full-argument hydration; the "
-                f"streaming and incremental modes cannot honour it "
-                f"cheaply", node,
-            )
-            return
         if attr in self.allowed_context:
             return
         if (getattr(node, "lineno", 0), name) in self._mutation_sites:
@@ -385,9 +370,8 @@ class _RuleVisitor(ast.NodeVisitor):
                                  name: str) -> None:
         if node.attr in _SUBJECT_HYDRATORS:
             self._emit(
-                KIND_HYDRATION, self.hydration_severity,
-                f"subject.{node.attr} forces hydration of the full "
-                f"argument", node,
+                KIND_UNDECLARED, SEVERITY_ERROR,
+                f"subject.{node.attr} hydrates the full argument", node,
             )
         # Plain data reads on the subject (node.text, link.kind, ...)
         # are the whole point of per-node/per-link rules — allowed.
@@ -444,7 +428,7 @@ class _RuleVisitor(ast.NodeVisitor):
                 )
             elif func.id == "ensure_argument":
                 self._emit(
-                    KIND_HYDRATION, self.hydration_severity,
+                    KIND_UNDECLARED, SEVERITY_ERROR,
                     "ensure_argument() hydrates the full argument",
                     node,
                 )
@@ -503,7 +487,6 @@ class _RuleVisitor(ast.NodeVisitor):
             rule_name=self.rule_name,
             roles=helper_roles,
             allowed_context=self.allowed_context,
-            hydration_severity=self.hydration_severity,
             depth=self.depth + 1,
         )
 
@@ -605,7 +588,6 @@ class _Auditor:
         rule_name: str,
         roles: "dict[str, str]",
         allowed_context: "frozenset[str]",
-        hydration_severity: str,
         depth: int,
     ) -> None:
         fn = _unwrap_callable(fn)
@@ -625,8 +607,7 @@ class _Auditor:
             ))
             return
         visitor = _RuleVisitor(
-            self, rule_name, path, roles, allowed_context,
-            hydration_severity, fn, depth,
+            self, rule_name, path, roles, allowed_context, fn, depth,
         )
         for stmt in getattr(tree, "body", []) if not isinstance(
                 tree, ast.Lambda) else [tree.body]:
@@ -641,16 +622,12 @@ def audit_callable(
     roles: "dict[str, str]",
 ) -> "list[AuditFinding]":
     """Audit one callable against the contract for *scope*."""
-    hydration_severity = (
-        SEVERITY_WARNING if scope is Scope.GLOBAL else SEVERITY_ERROR
-    )
     auditor = _Auditor()
     auditor.audit_callable_body(
         fn,
         rule_name=rule_name,
         roles=roles,
         allowed_context=SCOPE_SURFACE[scope],
-        hydration_severity=hydration_severity,
         depth=0,
     )
     return auditor.findings
@@ -746,7 +723,6 @@ def audit_streaming_scan(fn: Callable[..., Any]) -> "list[AuditFinding]":
         rule_name=getattr(fn, "__name__", repr(fn)),
         roles=roles,
         allowed_context=frozenset(),
-        hydration_severity=SEVERITY_ERROR,
         depth=0,
     )
     return auditor.findings

@@ -1,35 +1,35 @@
-"""The unified checking facade: one entry point, four engines.
-
-Before this module, callers picked among four surfaces —
-``wellformed.check`` (live arguments), ``RuleSet.check`` (mode
-keyword), ``RuleSet.incremental`` / ``IncrementalChecker`` (delta-log
-re-checking), and ``IncrementalChecker.from_store`` (journaled
-stores).  :func:`check` subsumes them:
+"""The unified checking facade: one entry point over the rule engine.
 
 ``repro.check(subject, rules=..., mode=...)``
     *subject* is a live :class:`~repro.core.argument.Argument` or a
     stored handle (anything satisfying
-    :func:`~repro.core.analysis.is_stored_argument`).  ``mode`` is
-    ``"auto"`` (default), ``"serial"``, ``"streaming"``,
-    ``"parallel"``, ``"full"``, or ``"incremental"`` — the last keeps
-    a delta-log checker alive per (subject, rules) behind the scenes,
-    so repeated incremental checks of the same subject re-run only
-    what changed (including re-proving only the formal obligations an
-    edit touched; see :mod:`repro.claims.obligations`).
+    :func:`~repro.core.analysis.is_stored_argument`).  *rules* is a
+    :class:`~repro.core.wellformed.RuleSet`, a compiled claim module,
+    or a plain sequence of scoped rules.  ``mode`` is one of
+    :data:`CHECK_MODES`: ``"auto"`` (default), ``"serial"`` /
+    ``"streaming"`` (synonyms for one path), ``"parallel"`` (stored
+    subjects only; a live argument runs serially), or
+    ``"incremental"``, which keeps an
+    :class:`~repro.core.analysis.IncrementalChecker` alive per
+    (subject, rules) behind the scenes, so repeated incremental checks
+    of the same subject re-run only what changed (including re-proving
+    only the formal obligations an edit touched; see
+    :mod:`repro.claims.obligations`).  To check a hydrated copy of a
+    stored case, pass ``stored.load()``.
 
 The result is a typed :class:`CheckReport`: the violations (in the
-engine's canonical order), the **mode actually used** (``auto`` and
-degraded ``parallel`` resolve to a concrete engine), and the
-obligation outcomes — discharged and failed — when the subject or a
-:class:`~repro.claims.compiler.CompiledClaims` carries bindings.  The
-report is list-like over its violations, so existing call sites that
-truth-test or iterate the old ``list[Violation]`` return value keep
-working through the delegating shims.
+engine's canonical order), the **mode actually used** as the engine
+reports it (``auto`` and a degraded ``parallel`` resolve to
+``serial`` for live subjects and ``streaming`` for stored ones), and
+the obligation outcomes — discharged and failed — when the subject or
+a :class:`~repro.claims.compiler.CompiledClaims` carries bindings.  The
+report is list-like over its violations (``len``, iteration, indexing,
+truthiness); compare ``list(report)`` or ``report.violations`` across
+checks, since the report also carries the subject name and mode.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
@@ -45,8 +45,8 @@ from .core.analysis import (
     IncrementalChecker,
     ScopedRule,
     Violation,
+    _run_rules,
     is_stored_argument,
-    run_rules,
 )
 from .core.argument import Argument
 from .core.wellformed import GSN_STANDARD_RULES, RuleSet
@@ -58,11 +58,9 @@ __all__ = [
     "check",
 ]
 
-#: Modes accepted by :func:`check`; the first five mirror
-#: :func:`~repro.core.analysis.run_rules`.
-CHECK_MODES = (
-    "auto", "serial", "streaming", "parallel", "full", "incremental",
-)
+#: Modes accepted by :func:`check`; all but ``incremental`` are
+#: :func:`~repro.core.analysis.run_rules` modes.
+CHECK_MODES = ("auto", "serial", "streaming", "parallel", "incremental")
 
 
 @dataclass(frozen=True)
@@ -80,9 +78,8 @@ class CheckReport:
     """A typed checking result: violations + obligations + mode used.
 
     List-like over its violations (``len``, iteration, indexing,
-    truthiness), so it drops into code written against the legacy
-    ``list[Violation]`` surface; ``well_formed`` and the obligation
-    partitions carry the richer story.
+    truthiness); ``well_formed`` and the obligation partitions carry
+    the richer story.
     """
 
     subject: str
@@ -154,27 +151,6 @@ def _incremental_checker(
         checker = IncrementalChecker(subject, scoped)
     entries.append((scoped, checker))
     return checker
-
-
-# -- mode resolution ----------------------------------------------------------
-
-
-def _resolved_mode(subject: Any, mode: str, workers: Optional[int]) -> str:
-    """The engine :func:`~repro.core.analysis.run_rules` actually used.
-
-    Mirrors its dispatch: ``auto`` picks streaming for stored subjects
-    and serial for live ones; ``parallel`` degrades the same way when
-    fewer than two effective workers are available.
-    """
-    stored = is_stored_argument(subject)
-    if mode == "parallel":
-        effective = workers if workers is not None else (os.cpu_count() or 1)
-        if effective >= 2:
-            return "parallel"
-        mode = "streaming"  # the engine's one-core degradation
-    if mode in ("auto", "serial", "streaming"):
-        return "streaming" if stored else "serial"
-    return mode
 
 
 # -- obligation outcomes ------------------------------------------------------
@@ -257,10 +233,8 @@ def check(
         violations = tuple(checker.check())
         used = "incremental"
     else:
-        violations = tuple(
-            run_rules(subject, scoped, mode=mode, workers=workers)
-        )
-        used = _resolved_mode(subject, mode, workers)
+        used, found = _run_rules(subject, scoped, mode, workers)
+        violations = tuple(found)
     name = getattr(subject, "name", None)
     return CheckReport(
         subject=str(name) if name is not None else type(subject).__name__,

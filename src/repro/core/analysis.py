@@ -1,18 +1,12 @@
-"""Scoped streaming rule analysis over arguments and stored arguments.
+"""Scoped rule analysis over arguments and stored arguments.
 
-The well-formedness layer used to be a stack of whole-argument functions:
-every rule received a fully hydrated :class:`~repro.core.argument.Argument`
-and scanned whatever it liked.  That shape forces
-:class:`~repro.store.StoredArgument` handles through full hydration before
-the first rule runs and leaves no seam for parallel or incremental
-execution.  This module replaces it with **scoped rules** and one engine
-that can run the same rule set four ways.
+Every well-formedness rule declares *how much of the graph it needs*
+(its :class:`Scope`), and one engine runs a rule set over a live
+:class:`~repro.core.argument.Argument` or a
+:class:`~repro.store.StoredArgument` — the latter without hydration.
 
 The scoped-rule contract
 ========================
-
-A :class:`ScopedRule` declares *how much of the graph it needs* via its
-:class:`Scope`:
 
 ``Scope.NODE`` (:func:`per_node`)
     ``fn(node, ctx) -> list[Violation]``.  The rule sees one
@@ -28,92 +22,88 @@ A :class:`ScopedRule` declares *how much of the graph it needs* via its
 
 ``Scope.GLOBAL`` (:func:`global_rule`)
     ``fn(ctx) -> list[Violation]``.  The rule needs whole-graph services:
-    :meth:`RuleContext.roots`, :meth:`RuleContext.find_cycle`,
-    :attr:`RuleContext.name` — or, as a last resort for legacy
-    whole-argument callables, :meth:`RuleContext.argument`, which hydrates
-    a stored case.  Full hydration is thereby the *fallback*, not the
-    default.
+    :meth:`RuleContext.roots`, :meth:`RuleContext.find_cycle`, the
+    support-reachability probes, and :attr:`RuleContext.name`.
 
 The locality restrictions are what buy the execution modes: because a
 node rule touches one node plus one bit of context and a link rule
 touches one link plus two node types, any partition of the node and link
 streams evaluates independently.
 
+One context (:class:`RuleContext`)
+==================================
+
+Every rule reads the same concrete class: a dict sidecar holding node
+types, insertion order, SupportedBy out/in *counts*, and SupportedBy
+adjacency.  Node texts and metadata are never retained.  The engine
+builds it four ways:
+
+* **serial** — from a live argument's ``links`` then ``nodes``, through
+  :meth:`RuleContext.add_link` and :meth:`RuleContext.add_node`;
+* **streaming** — the same calls, fed by one pass over a store's link
+  shards and one over its node shards; :meth:`RuleContext.finalise`
+  then sorts the streamed nodes into insertion order (shards interleave
+  their sequence numbers);
+* **parallel** — the parent merges the node and link columns its
+  workers ship back; each worker judges its node rules against a small
+  context built from its own link shard;
+* **incremental** — patched record by record with
+  :meth:`RuleContext.apply_op`, from a live argument's delta log or a
+  store's append journal alike.
+
 Execution modes (:func:`run_rules`)
 ===================================
 
 ``serial`` / ``streaming``
-    One pass over link shards (accumulating the node-type sidecar's
-    support and adjacency aggregates, buffering the lightweight link
-    triples), one pass over node shards (building the sidecar and
-    running node rules as records parse), then link rules over the
-    buffer and the global rules.  A
+    Synonyms for one path.  Links first (filling the sidecar's support
+    aggregates and buffering the lightweight link triples), then nodes
+    (registering types and running node rules as records arrive), then
+    link rules over the buffer and the global rules.  A
     :class:`~repro.store.StoredArgument` is checked **without
     hydration**: every shard parses exactly once, sequentially (no heap
-    merge), and memory stays O(sidecar + links) — node texts and
-    metadata are never retained and no
-    :class:`~repro.core.argument.Argument` is constructed.  Live
-    arguments evaluate against their own indices in a single pass each.
+    merge), and memory stays O(sidecar + links) — no
+    :class:`~repro.core.argument.Argument` is constructed.  A live
+    argument reports ``serial``, a stored one ``streaming``.
 
 ``parallel``
-    A **self-balancing work queue** over ``concurrent.futures`` worker
-    processes, each given exactly the context slice the contract above
-    permits (the support bits of a unit's nodes; the endpoint types of
-    a unit's links).  For a stored argument the unit of work is **one
-    node shard**: the parent pins its handle's
-    :class:`~repro.store.StoreGeneration` and ships the token to every
-    worker, which reopens the store *at that generation* (journal
-    segments appended mid-check are rewound away; a base rotated by a
-    concurrent compaction or a coalesced journal raises
-    ``StoreConflictError`` naming both generations — never a silent
-    mix of snapshots).  Each task parses its link shard — links shard
-    by source id with the same hash as nodes, so one link shard yields
-    exactly its node shard's support bits — then its node shard,
-    running node rules as records parse, and ships both fragments back
-    as flat value rows (far cheaper to pickle than Node/Link objects).
-    The parent parses nothing: it rebuilds types, seq order, and the
-    SupportedBy aggregates from the rows in completion order.  Shards
-    are pulled from the pool's queue on demand, so one fat shard no
-    longer idles every other worker.  Link rules run in the parent,
-    grouped by (source shard, target shard) and judged the moment both
-    endpoint type fragments land — link work overlaps the remaining
-    shard scans, in the otherwise-idle parent.  Global rules run in
-    the parent after the type merge.  For a live argument the
-    units are list slices shipped from the parent, finer than the
-    worker count so the queue balances, collected as completed.  A worker exception
-    cancels every not-yet-started unit immediately
-    (``cancel_futures``) and re-raises with the failing shard noted on
-    the exception.  Worker start method: ``fork`` only while the
-    parent is single-threaded, otherwise ``forkserver``/``spawn``
-    (forking a threaded parent is undefined behaviour); the
-    ``REPRO_MP_START`` environment variable overrides the choice.
-    Output is identical to serial mode.  With fewer than two effective
-    workers the engine degrades gracefully to the streaming path.
-
-``full``
-    Hydrate first, then run serially over the live argument — the
-    pre-scoped behaviour, kept as the baseline the benchmarks compare
-    against.
+    Stored arguments only.  A **self-balancing work queue** over
+    ``concurrent.futures`` worker processes, one task per node shard.
+    The parent pins its handle's :class:`~repro.store.StoreGeneration`
+    and ships the token to every worker, which reopens the store *at
+    that generation* (journal segments appended mid-check are rewound
+    away; a base rotated by a concurrent compaction or a coalesced
+    journal raises ``StoreConflictError`` naming both generations —
+    never a silent mix of snapshots).  Each task parses its link shard —
+    links shard by source id with the same hash as nodes, so one link
+    shard yields exactly its node shard's support counts — then its
+    node shard, running node rules, and ships both fragments back as
+    flat value columns (far cheaper to pickle than Node/Link objects).
+    The parent parses nothing: it merges the columns into its sidecar in
+    completion order and judges link rules grouped by (source shard,
+    target shard) the moment both endpoint type fragments land — link
+    work overlaps the remaining shard scans.  Global rules run in the
+    parent after the merge.  A worker exception cancels every
+    not-yet-started task (``cancel_futures``) and re-raises with the
+    failing shard noted on the exception.  Worker start method: ``fork``
+    only while the parent is single-threaded, otherwise
+    ``forkserver``/``spawn``; the ``REPRO_MP_START`` environment
+    variable overrides the choice.  A live argument — or fewer than two
+    effective workers — runs the serial/streaming path instead and
+    reports the mode it used.
 
 ``incremental`` (:class:`IncrementalChecker`)
-    A stateful checker that consumes the argument's mutation delta log
-    (:meth:`~repro.core.argument.Argument.delta_since`).  Per-rule
-    violation maps are cached keyed by subject (node identifier or link)
-    and invalidated by subject id: after a mutation only the touched
-    subjects re-evaluate, plus the global rules.  When the bounded log
-    has rotated past the checker's sequence number it falls back to a
-    full recompute.
+    A stateful checker over a live argument (consuming
+    :meth:`~repro.core.argument.Argument.delta_since`) or, via
+    :meth:`IncrementalChecker.from_store`, a persisted case (consuming
+    its append journal, :mod:`repro.store.journal`).  Both patch the
+    same sidecar with the same records; per-rule violation maps are
+    cached by subject and only the touched subjects re-evaluate, plus
+    the global rules.  A rotated delta log, a compaction, or a full
+    rewrite of the store forces one rebuild.  A store-backed checker
+    never hydrates: the odd node it must re-judge comes from the
+    store's lazy per-shard lookup.
 
-``incremental over a store`` (:meth:`IncrementalChecker.from_store`)
-    The same checker attached to a *persisted* case: it consumes the
-    store's append-journal deltas (:mod:`repro.store.journal`) instead
-    of a live argument's log, maintaining a node-type/support/adjacency
-    sidecar (:class:`_StoreContext`) it patches per journal record — so
-    a case saved with ``save(journal=True)`` re-checks after every edit
-    session **without hydration**: single-node payloads come from lazy
-    per-shard lookups, ``StoredArgument.hydrated`` stays ``False``, and
-    a compaction or full rewrite (detected via the store's base-shard
-    generation) triggers one streaming rebuild.
+To check a hydrated copy of a stored case, check ``stored.load()``.
 
 All modes produce the same violation list: rules in rule-set order, and
 within one rule the violations in canonical ``(subject, detail)`` order —
@@ -123,11 +113,10 @@ The rule-authoring contract (statically enforced)
 =================================================
 
 Everything above holds **only if rules keep their scope promises** — the
-serial/streaming/parallel/incremental equivalence is a theorem about
-rules that read nothing beyond their declared context slice.  The
-contract a rule author signs, and that the rule-scope auditor
-(:mod:`repro.analysis_static`) verifies from the rule's AST at
-definition time:
+mode equivalence is a theorem about rules that read nothing beyond their
+declared context slice.  The contract a rule author signs, and that the
+rule-scope auditor (:mod:`repro.analysis_static`) verifies from the
+rule's AST at definition time:
 
 *What a scoped rule may read.*  A rule may read **its subject** (the
 one node or link it was handed — any attribute) and **its context
@@ -135,7 +124,7 @@ surface** — exactly the :class:`RuleContext` attributes
 :data:`SCOPE_SURFACE` lists for its scope:
 
 ========  ==========================================================
-scope     stream-safe ``RuleContext`` surface
+scope     ``RuleContext`` surface
 ========  ==========================================================
 node      ``name``, ``cites_support`` (about the subject node only)
 link      ``name``, ``node_type`` (of the link's own endpoints only)
@@ -143,37 +132,31 @@ global    ``name``, ``node_type``, ``cites_support``, ``roots``,
           ``find_cycle``, ``has_support``, ``supported_walk``
 ========  ==========================================================
 
-Everything on that table is *stream-safe*: each concrete context
-answers it from sidecar aggregates without hydrating a stored case.
-The shared module-level helpers :func:`iter_subject_nodes` /
-:func:`iter_subject_links` are likewise stream-safe for whole-argument
-scans.  :meth:`RuleContext.argument` is **not** — it is the documented
-hydration fallback for legacy whole-argument rules, and the auditor
-flags any other use as hydration-forcing.
+Everything on that table is answered from the sidecar without
+hydrating a stored case.  The shared module-level helpers
+:func:`iter_subject_nodes` / :func:`iter_subject_links` are likewise
+stream-safe for whole-argument scans.
 
 *What a scoped rule may not do.*  Rules are pure functions of
 ``(subject, permitted context)``:
 
 * **no undeclared context access** — asking the context anything
   outside the scope's surface breaks partitioning (a parallel worker's
-  :class:`_ChunkContext` simply does not carry the answer);
+  context holds only its own shard's support counts);
 * **no mutation** — assigning to, deleting from, or calling mutators on
-  the subject or the context corrupts the shared sidecars other rules
-  read;
+  the subject or the context corrupts the sidecar other rules read;
 * **no nondeterminism** — ``time``/``random``/``id()`` reads or
-  iteration over sets feeding the violation output make the four modes
+  iteration over sets feeding the violation output make the modes
   (and journal replays) disagree.
 
 *How to interpret auditor findings.*  The auditor emits structured
 findings (``kind``, ``severity``, rule name, ``file:line``):
-``undeclared-context-access`` and ``mutation`` are always errors;
-``hydration-forcing`` is an error for node/link rules and a warning for
-global rules (the documented legacy fallback); ``nondeterminism`` is an
-error; ``unreadable-source`` is a warning (the auditor could not obtain
-the callable's AST — C functions, interactively defined rules).
-``RuleSet.audit()`` runs the auditor over a whole rule set, and
-:mod:`repro.analysis_static.gate` re-audits everything the repo ships
-at import time.
+``undeclared-context-access``, ``mutation`` and ``nondeterminism`` are
+errors in every scope; ``unreadable-source`` is a warning (the auditor
+could not obtain the callable's AST — C functions, interactively
+defined rules).  ``RuleSet.audit()`` runs the auditor over a whole rule
+set, and :mod:`repro.analysis_static.gate` re-audits everything the
+repo ships at import time.
 
 *Formal obligations.*  A rule may carry **formal proof work** — the
 claim language (:mod:`repro.claims`) binds evidence nodes to SAT /
@@ -207,6 +190,8 @@ import os
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .argument import Argument, Link, LinkKind
@@ -217,7 +202,6 @@ __all__ = [
     "Scope",
     "ScopedRule",
     "SCOPE_SURFACE",
-    "HYDRATING_CONTEXT",
     "per_node",
     "per_link",
     "global_rule",
@@ -264,12 +248,6 @@ SCOPE_SURFACE: "dict[Scope, frozenset[str]]" = {
         "has_support", "supported_walk",
     }),
 }
-
-#: :class:`RuleContext` attributes that force hydration of a stored
-#: case — the documented legacy fallback, flagged by the auditor
-#: everywhere except (as a warning) in global rules.
-HYDRATING_CONTEXT: "frozenset[str]" = frozenset({"argument"})
-
 
 @dataclass(frozen=True)
 class ScopedRule:
@@ -340,7 +318,7 @@ def global_rule(
     *,
     delta_fn: "Callable[..., list[Violation] | None] | None" = None,
 ) -> ScopedRule:
-    """A rule needing whole-graph services (roots, cycles, hydration)."""
+    """A rule needing whole-graph services (roots, cycles, reachability)."""
     return ScopedRule(name, description, Scope.GLOBAL, fn, delta_fn=delta_fn)
 
 
@@ -403,61 +381,25 @@ def iter_subject_links(subject: Any) -> Iterator[Link]:
     )
 
 
-# -- rule contexts ----------------------------------------------------------
+# -- the rule context -------------------------------------------------------
 
 
-class RuleContext:
-    """What a scoped rule may ask about the graph around its subject.
-
-    Concrete contexts back this protocol three ways: a live argument's
-    indices (:class:`_LiveContext`), a streaming sidecar built from
-    shards (:class:`_StreamContext`), or the per-work-unit slice shipped
-    to a parallel worker (:class:`_ChunkContext`).
-    """
-
-    name: str = "argument"
-
-    def node_type(self, identifier: str) -> NodeType:
-        """The type of a node — for link rules, the link's endpoints."""
-        raise NotImplementedError
-
-    def cites_support(self, identifier: str) -> bool:
-        """Does the node source at least one SupportedBy link?"""
-        raise NotImplementedError
-
-    def roots(self) -> list[str]:
-        """Claim-like nodes with no incoming support (global rules only)."""
-        raise NotImplementedError
-
-    def find_cycle(self) -> "list[str] | None":
-        """A SupportedBy cycle, if any (global rules only)."""
-        raise NotImplementedError
-
-    def has_support(self, source: str, target: str) -> bool:
-        """Is there a SupportedBy link ``source -> target``?  (Global
-        rules and their delta hooks only.)"""
-        raise NotImplementedError
-
-    def supported_walk(self, start: str) -> Iterator[str]:
-        """Identifiers reachable from ``start`` over SupportedBy links,
-        ``start`` included (global delta hooks only)."""
-        raise NotImplementedError
-
-    def argument(self) -> Argument:
-        """A live argument — hydrates stored cases (legacy rules only)."""
-        raise NotImplementedError
+def _bump(counts: dict[str, int], key: str, delta: int) -> None:
+    value = counts.get(key, 0) + delta
+    if value:
+        counts[key] = value
+    else:
+        counts.pop(key, None)
 
 
 def _colouring_cycle(
-    ordered: Iterable[str], adjacency: "dict[str, Any]"
+    ordered: Iterable[str], adjacency: "dict[str, dict[str, None]]"
 ) -> "list[str] | None":
     """One white/grey/black DFS over a SupportedBy adjacency map.
 
     Mirrors ``Argument._iter_supported_by_back_edges`` — same start
-    order, same neighbour order — so a live check, a streaming check,
-    and a store-backed incremental check of the same argument all
-    report the identical cycle rendering.  ``adjacency`` values are any
-    iterable of target identifiers.
+    order, same neighbour order — so every mode reports the identical
+    cycle rendering.
     """
     colour: dict[str, int] = {}
     path: list[str] = []
@@ -495,215 +437,55 @@ def _colouring_cycle(
     return None
 
 
-def _adjacency_has(
-    adjacency: "dict[str, Any]", source: str, target: str
-) -> bool:
-    """Membership test on a SupportedBy adjacency map."""
-    return target in adjacency.get(source, ())
+class RuleContext:
+    """What a scoped rule may ask about the graph around its subject.
 
-
-def _adjacency_walk(
-    adjacency: "dict[str, Any]", start: str
-) -> Iterator[str]:
-    """Reachability over a SupportedBy adjacency map, ``start`` included."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        identifier = stack.pop()
-        yield identifier
-        for target in adjacency.get(identifier, ()):
-            if target not in seen:
-                seen.add(target)
-                stack.append(target)
-
-
-class _LiveContext(RuleContext):
-    """Context over a live argument: O(1) reads off maintained indices."""
-
-    __slots__ = ("_argument",)
-
-    def __init__(self, argument: Argument) -> None:
-        self._argument = argument
-
-    @property
-    def name(self) -> str:
-        return self._argument.name
-
-    def node_type(self, identifier: str) -> NodeType:
-        return self._argument.node(identifier).node_type
-
-    def cites_support(self, identifier: str) -> bool:
-        return self._argument.cites_support(identifier)
-
-    def roots(self) -> list[str]:
-        return [node.identifier for node in self._argument.roots()]
-
-    def find_cycle(self) -> "list[str] | None":
-        return self._argument.find_cycle()
-
-    def has_support(self, source: str, target: str) -> bool:
-        return self._argument.has_link(
-            Link(source, target, LinkKind.SUPPORTED_BY)
-        )
-
-    def supported_walk(self, start: str) -> Iterator[str]:
-        return (
-            node.identifier
-            for node in self._argument.walk(start, LinkKind.SUPPORTED_BY)
-        )
-
-    def argument(self) -> Argument:
-        return self._argument
-
-
-class _StreamContext(RuleContext):
-    """The node-type sidecar built by streaming shards — no hydration.
-
-    Holds the per-node aggregates the scoped contract needs (type map,
-    support bits) plus the SupportedBy adjacency the global rules need
-    for cycle detection.  Nodes register with their global sequence
-    number so :meth:`roots` and :meth:`find_cycle` see exact insertion
-    order even when shards were streamed out of order (the parallel
-    path's per-shard work units).
+    A dict sidecar: node types, insertion order, per-node SupportedBy
+    out/in counts (counts, not bits — removing one of two support links
+    must not clear the flag), and the SupportedBy adjacency the global
+    rules walk.  Memory is O(types + support links).  The module
+    docstring lists the four ways the engine builds one.
     """
 
     __slots__ = (
-        "name", "_stored", "_hydrated", "types", "out_support",
-        "in_support", "adjacency", "_order", "ordered",
+        "name", "types", "order", "out_support", "in_support",
+        "adjacency", "_streamed",
     )
 
-    def __init__(self, name: str, stored: Any = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._stored = stored
-        self._hydrated: Argument | None = None
-        self.types: dict[str, NodeType] = {}
-        self.out_support: set[str] = set()
-        self.in_support: set[str] = set()
-        self.adjacency: dict[str, list[str]] = {}
-        self._order: list[tuple[int, str]] = []
-        self.ordered: list[str] = []
-
-    def note_link(self, link: Link) -> None:
-        if link.kind is LinkKind.SUPPORTED_BY:
-            self.out_support.add(link.source)
-            self.in_support.add(link.target)
-            self.adjacency.setdefault(link.source, []).append(link.target)
-
-    def note_node(self, position: int, node: Node) -> None:
-        self.types[node.identifier] = node.node_type
-        self._order.append((position, node.identifier))
-
-    def finalise(self) -> None:
-        self._order.sort()
-        self.ordered = [identifier for _, identifier in self._order]
-
-    def node_type(self, identifier: str) -> NodeType:
-        return self.types[identifier]
-
-    def cites_support(self, identifier: str) -> bool:
-        return identifier in self.out_support
-
-    def roots(self) -> list[str]:
-        return [
-            identifier
-            for identifier in self.ordered
-            if self.types[identifier].is_claim_like
-            and identifier not in self.in_support
-        ]
-
-    def find_cycle(self) -> "list[str] | None":
-        # Same colouring DFS as the live argument, in insertion order,
-        # so live and streamed checks report the identical cycle.
-        return _colouring_cycle(self.ordered, self.adjacency)
-
-    def has_support(self, source: str, target: str) -> bool:
-        return _adjacency_has(self.adjacency, source, target)
-
-    def supported_walk(self, start: str) -> Iterator[str]:
-        return _adjacency_walk(self.adjacency, start)
-
-    def argument(self) -> Argument:
-        if self._stored is None:
-            raise TypeError(
-                "this streaming context has no store handle to hydrate"
-            )
-        if self._hydrated is None:  # hydrate once, however many legacy
-            self._hydrated = self._stored.load()  # rules ask
-        return self._hydrated
-
-
-class _ChunkContext(RuleContext):
-    """The context slice a parallel work unit ships to its worker.
-
-    Carries only what the scoped contract lets the unit's rules ask:
-    endpoint types for its links, support bits for its nodes.  Global
-    services are deliberately absent — global rules run in the parent.
-    """
-
-    __slots__ = ("_types", "_support")
-
-    def __init__(
-        self, types: dict[str, NodeType], support: frozenset[str]
-    ) -> None:
-        self._types = types
-        self._support = support
-
-    def node_type(self, identifier: str) -> NodeType:
-        return self._types[identifier]
-
-    def cites_support(self, identifier: str) -> bool:
-        return identifier in self._support
-
-
-class _StoreContext(RuleContext):
-    """An incrementally-maintained sidecar over a stored argument.
-
-    Where :class:`_StreamContext` is built once per one-shot streaming
-    check, this context persists across checks and **patches itself**
-    from the store's journal deltas: node types, insertion order,
-    per-node support counts (counts, not bits — removing one of two
-    support links must not clear the flag), the SupportedBy adjacency
-    the global rules walk, and the full link index the incremental
-    checker needs to invalidate by endpoint.  Memory is
-    O(types + links) — node texts and metadata are never retained; the
-    odd single node the checker must re-evaluate comes from the store's
-    lazy per-shard lookup, so the case is never hydrated.
-    """
-
-    __slots__ = (
-        "name", "_stored", "types", "order", "out_support", "in_support",
-        "adjacency", "links", "out_links", "in_links",
-    )
-
-    def __init__(self, stored: Any) -> None:
-        self._stored = stored
-        self.name: str = stored.name
         self.types: dict[str, NodeType] = {}
         self.order: dict[str, None] = {}
         self.out_support: dict[str, int] = {}
         self.in_support: dict[str, int] = {}
         self.adjacency: dict[str, dict[str, None]] = {}
-        self.links: dict[Link, None] = {}
-        self.out_links: dict[str, dict[Link, None]] = {}
-        self.in_links: dict[str, dict[Link, None]] = {}
+        self._streamed: list[tuple[int, str]] = []
 
-    def reset(self) -> None:
-        for slot in (
-            self.types, self.order, self.out_support, self.in_support,
-            self.adjacency, self.links, self.out_links, self.in_links,
-        ):
-            slot.clear()
+    # -- building -------------------------------------------------------
 
-    @staticmethod
-    def _bump(counter: dict[str, int], key: str, delta: int) -> None:
-        value = counter.get(key, 0) + delta
-        if value:
-            counter[key] = value
-        else:
-            counter.pop(key, None)
+    def add_link(self, link: Link) -> None:
+        """Count one link into the support aggregates."""
+        if link.kind is LinkKind.SUPPORTED_BY:
+            source, target = link.source, link.target
+            self.out_support[source] = self.out_support.get(source, 0) + 1
+            self.in_support[target] = self.in_support.get(target, 0) + 1
+            self.adjacency.setdefault(source, {})[target] = None
+
+    def add_node(self, seq: int, identifier: str, node_type: NodeType) -> None:
+        """Register a node; ``seq`` is its global insertion rank."""
+        self.types[identifier] = node_type
+        self._streamed.append((seq, identifier))
+
+    def finalise(self) -> None:
+        """Fix insertion order once every :meth:`add_node` is in."""
+        self._streamed.sort()
+        self.order = dict.fromkeys(
+            (identifier for _, identifier in self._streamed), None
+        )
+        self._streamed = []
 
     def apply_op(self, op: str, payload: Any) -> None:
-        """Patch the sidecar with one mutation record (delta order)."""
+        """Patch the sidecar with one delta or journal record."""
         if op == "add_node":
             identifier = payload.identifier
             self.types[identifier] = payload.node_type
@@ -714,46 +496,32 @@ class _StoreContext(RuleContext):
         elif op == "remove_node":
             # Incident links were removed by earlier records of the
             # same delta (remove_node logs them first).
-            identifier = payload.identifier
-            self.types.pop(identifier, None)
-            self.order.pop(identifier, None)
+            self.types.pop(payload.identifier, None)
+            self.order.pop(payload.identifier, None)
         elif op == "replace_node":
             _, new = payload
             self.types[new.identifier] = new.node_type
         elif op == "add_link":
-            self.links[payload] = None
-            self.out_links.setdefault(payload.source, {})[payload] = None
-            self.in_links.setdefault(payload.target, {})[payload] = None
-            if payload.kind is LinkKind.SUPPORTED_BY:
-                self._bump(self.out_support, payload.source, 1)
-                self._bump(self.in_support, payload.target, 1)
-                self.adjacency.setdefault(
-                    payload.source, {}
-                )[payload.target] = None
-        else:  # remove_link
-            self.links.pop(payload, None)
-            out = self.out_links.get(payload.source)
-            if out is not None:
-                out.pop(payload, None)
-            incoming = self.in_links.get(payload.target)
-            if incoming is not None:
-                incoming.pop(payload, None)
-            if payload.kind is LinkKind.SUPPORTED_BY:
-                self._bump(self.out_support, payload.source, -1)
-                self._bump(self.in_support, payload.target, -1)
-                targets = self.adjacency.get(payload.source)
-                if targets is not None:
-                    targets.pop(payload.target, None)
+            self.add_link(payload)
+        elif op == "remove_link" and payload.kind is LinkKind.SUPPORTED_BY:
+            _bump(self.out_support, payload.source, -1)
+            _bump(self.in_support, payload.target, -1)
+            targets = self.adjacency.get(payload.source)
+            if targets is not None:
+                targets.pop(payload.target, None)
 
-    # -- the RuleContext protocol ---------------------------------------
+    # -- what rules may ask (see SCOPE_SURFACE) ---------------------------
 
     def node_type(self, identifier: str) -> NodeType:
+        """The type of a node — for link rules, the link's endpoints."""
         return self.types[identifier]
 
     def cites_support(self, identifier: str) -> bool:
+        """Does the node source at least one SupportedBy link?"""
         return identifier in self.out_support
 
     def roots(self) -> list[str]:
+        """Claim-like nodes with no incoming support (global rules only)."""
         return [
             identifier
             for identifier in self.order
@@ -762,27 +530,32 @@ class _StoreContext(RuleContext):
         ]
 
     def find_cycle(self) -> "list[str] | None":
+        """A SupportedBy cycle, if any (global rules only)."""
         return _colouring_cycle(self.order, self.adjacency)
 
     def has_support(self, source: str, target: str) -> bool:
-        return _adjacency_has(self.adjacency, source, target)
+        """Is there a SupportedBy link ``source -> target``?  (Global
+        rules and their delta hooks only.)"""
+        return target in self.adjacency.get(source, ())
 
     def supported_walk(self, start: str) -> Iterator[str]:
-        return _adjacency_walk(self.adjacency, start)
-
-    def argument(self) -> Argument:
-        raise TypeError(
-            "store-backed incremental checking never hydrates; legacy "
-            "whole-argument rules are not supported by "
-            "IncrementalChecker.from_store (run them via "
-            "run_rules(..., mode='full') instead)"
-        )
+        """Identifiers reachable from ``start`` over SupportedBy links,
+        ``start`` included (global delta hooks only)."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            identifier = stack.pop()
+            yield identifier
+            for target in self.adjacency.get(identifier, ()):
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
 
 
 # -- the engine -------------------------------------------------------------
 
 
-_MODES = ("auto", "serial", "streaming", "parallel", "full")
+_MODES = ("auto", "serial", "streaming", "parallel")
 
 _IndexedRules = list[tuple[int, ScopedRule]]
 
@@ -831,13 +604,39 @@ def _link_dispatch(
     }
 
 
+def _judge_nodes(
+    nodes: Iterable[Node],
+    dispatch: "dict[NodeType, _IndexedRules]",
+    ctx: RuleContext,
+    buckets: list[list[Violation]],
+) -> None:
+    """Run each node's applicable rules, collecting by rule index."""
+    for node in nodes:
+        for index, rule in dispatch[node.node_type]:
+            found = rule.fn(node, ctx)
+            if found:
+                buckets[index].extend(found)
+
+
+def _judge_links(
+    links: Iterable[Link],
+    dispatch: "dict[LinkKind, _IndexedRules]",
+    ctx: RuleContext,
+    buckets: list[list[Violation]],
+) -> None:
+    """Run each link's applicable rules, collecting by rule index."""
+    for link in links:
+        for index, rule in dispatch[link.kind]:
+            found = rule.fn(link, ctx)
+            if found:
+                buckets[index].extend(found)
+
+
 def _violation_key(violation: Violation) -> tuple[str, str]:
     return (violation.subject, violation.detail)
 
 
-def _assemble(
-    rules: Sequence[ScopedRule], buckets: list[list[Violation]]
-) -> list[Violation]:
+def _assemble(buckets: list[list[Violation]]) -> list[Violation]:
     """Rule-set order outside, canonical (subject, detail) order inside."""
     out: list[Violation] = []
     for bucket in buckets:
@@ -855,146 +654,97 @@ def run_rules(
 ) -> list[Violation]:
     """Evaluate scoped rules over a live or stored argument.
 
-    ``mode`` is one of ``auto`` (streaming for stored arguments, serial
-    for live ones), ``serial``/``streaming`` (synonyms — one process, no
-    hydration), ``parallel`` (a work queue over process workers;
-    ``workers`` defaults to the CPU count, fewer than two effective
-    workers degrades to the streaming path, stored subjects are checked
-    at the handle's pinned generation, and ``REPRO_MP_START`` overrides
-    the worker start method), or ``full`` (hydrate first — the legacy
-    baseline).  Every mode returns the identical violation list.
+    ``mode`` is one of ``auto``, ``serial``/``streaming`` (synonyms —
+    one process, no hydration), or ``parallel`` (a work queue over
+    process workers for stored subjects, checked at the handle's pinned
+    generation; ``workers`` defaults to the CPU count and
+    ``REPRO_MP_START`` overrides the worker start method).  A live
+    argument, or fewer than two effective workers, runs the
+    serial/streaming path.  Every mode returns the identical violation
+    list.
     """
+    return _run_rules(subject, rules, mode, workers)[1]
+
+
+def _run_rules(
+    subject: Any,
+    rules: Sequence[ScopedRule],
+    mode: str = "auto",
+    workers: int | None = None,
+) -> tuple[str, list[Violation]]:
+    """:func:`run_rules`, also naming the mode it actually used."""
     if mode not in _MODES:
         raise ValueError(f"unknown analysis mode {mode!r} (not in {_MODES})")
     rules = tuple(rules)
-    stored = is_stored_argument(subject)
-    if not stored and not isinstance(subject, Argument):
+    if isinstance(subject, Argument):
+        return "serial", _run_serial(
+            subject.name, subject.links, enumerate(subject.nodes), rules
+        )
+    if not is_stored_argument(subject):
         raise TypeError(
             "expected an Argument or a StoredArgument, got "
             f"{type(subject).__name__}"
         )
-    if mode == "auto":
-        mode = "streaming" if stored else "serial"
-    if mode == "full":
-        return _run_live(ensure_argument(subject), rules)
     if mode == "parallel":
         effective = workers if workers is not None else (os.cpu_count() or 1)
         if effective >= 2:
-            return _run_parallel(subject, rules, effective)
-        mode = "streaming"  # graceful degradation on one core
-    if stored:
-        return _run_stored_streaming(subject, rules)
-    return _run_live(subject, rules)
+            return "parallel", _run_parallel(subject, rules, effective)
+    shards = range(subject.shard_count)
+    return "streaming", _run_serial(
+        subject.name,
+        map(itemgetter(1), chain.from_iterable(
+            map(subject.iter_shard_links, shards)
+        )),
+        chain.from_iterable(map(subject.iter_shard_nodes, shards)),
+        rules,
+    )
 
 
-def _run_live(argument: Argument, rules: tuple[ScopedRule, ...]) -> list[Violation]:
-    node_rules, link_rules, global_rules = _split_rules(rules)
-    ctx = _LiveContext(argument)
-    buckets: list[list[Violation]] = [[] for _ in rules]
-    if node_rules:
-        dispatch = _node_dispatch(node_rules)
-        for node in argument.nodes:
-            for index, rule in dispatch[node.node_type]:
-                found = rule.fn(node, ctx)
-                if found:
-                    buckets[index].extend(found)
-    if link_rules:
-        link_groups = _link_dispatch(link_rules)
-        for link in argument.links:
-            for index, rule in link_groups[link.kind]:
-                found = rule.fn(link, ctx)
-                if found:
-                    buckets[index].extend(found)
-    for index, rule in global_rules:
-        buckets[index].extend(rule.fn(ctx))
-    return _assemble(rules, buckets)
+def _registered(
+    ctx: RuleContext, nodes: Iterable[tuple[int, Node]]
+) -> Iterator[Node]:
+    """Yield ``(seq, node)`` records' nodes, registering each in ``ctx``."""
+    for seq, node in nodes:
+        ctx.add_node(seq, node.identifier, node.node_type)
+        yield node
 
 
-def _run_stored_streaming(
-    stored: Any, rules: tuple[ScopedRule, ...]
+def _run_serial(
+    name: str,
+    links: Iterable[Link],
+    nodes: Iterable[tuple[int, Node]],
+    rules: tuple[ScopedRule, ...],
 ) -> list[Violation]:
-    """Check a stored argument without hydration.
+    """The serial/streaming path: links, then nodes, then link rules.
 
-    Shards stream *sequentially* (no heap merge — canonical output order
-    makes per-record order irrelevant, and the aggregates that do need
-    insertion order carry their ``seq``): one pass over link shards
-    building the sidecar aggregates and buffering the lightweight
-    :class:`~repro.core.argument.Link` triples, one pass over node shards
-    running node rules as records parse, then link rules over the buffer
-    and the global rules.  Each shard is parsed exactly once; memory is
-    O(types sidecar + links), never the hydrated argument.
+    One pass over the links fills the sidecar's support aggregates and
+    buffers the lightweight link triples; one pass over the
+    ``(seq, node)`` records registers types and runs node rules as
+    records arrive (a stored argument's node payloads are never
+    retained); link rules then judge the buffer against the complete
+    type map, and the global rules the finished sidecar.  For a stored
+    argument each shard is parsed exactly once, in shard order —
+    canonical output order makes record order irrelevant, and the
+    insertion order roots and cycles need comes from each node's seq.
     """
     node_rules, link_rules, global_rules = _split_rules(rules)
-    ctx = _StreamContext(stored.name, stored)
-    links: list[Link] = []
-    for index in range(stored.shard_count):  # pass 1: sidecar aggregates
-        for _, link in stored.iter_shard_links(index):
-            ctx.note_link(link)
-            links.append(link)
+    ctx = RuleContext(name)
+    buffered = list(links)
+    for link in buffered:
+        ctx.add_link(link)
     buckets: list[list[Violation]] = [[] for _ in rules]
-    dispatch = _node_dispatch(node_rules)
-    for index in range(stored.shard_count):  # pass 2: node rules
-        for seq, node in stored.iter_shard_nodes(index):
-            ctx.note_node(seq, node)
-            for rule_index, rule in dispatch[node.node_type]:
-                found = rule.fn(node, ctx)
-                if found:
-                    buckets[rule_index].extend(found)
+    _judge_nodes(
+        _registered(ctx, nodes), _node_dispatch(node_rules), ctx, buckets
+    )
     ctx.finalise()
-    if link_rules:  # pass 3: types now complete; no re-parse
-        link_groups = _link_dispatch(link_rules)
-        for link in links:
-            for rule_index, rule in link_groups[link.kind]:
-                found = rule.fn(link, ctx)
-                if found:
-                    buckets[rule_index].extend(found)
-    for rule_index, rule in global_rules:
-        buckets[rule_index].extend(rule.fn(ctx))
-    return _assemble(rules, buckets)
+    if link_rules:
+        _judge_links(buffered, _link_dispatch(link_rules), ctx, buckets)
+    for index, rule in global_rules:
+        buckets[index].extend(rule.fn(ctx))
+    return _assemble(buckets)
 
 
 # -- parallel execution -----------------------------------------------------
-
-
-def _node_unit_task(
-    rules: tuple[ScopedRule, ...],
-    nodes: list[Node],
-    support: frozenset[str],
-) -> list[list[Violation]]:
-    """Worker body for one node work unit (module-level: picklable)."""
-    ctx = _ChunkContext({}, support)
-    buckets: list[list[Violation]] = [[] for _ in rules]
-    dispatch = _node_dispatch(list(enumerate(rules)))
-    for node in nodes:
-        for index, rule in dispatch[node.node_type]:
-            found = rule.fn(node, ctx)
-            if found:
-                buckets[index].extend(found)
-    return buckets
-
-
-def _link_unit_task(
-    rules: tuple[ScopedRule, ...],
-    links: list[Link],
-    types: dict[str, NodeType],
-) -> list[list[Violation]]:
-    """Worker body for one link work unit (module-level: picklable)."""
-    ctx = _ChunkContext(types, frozenset())
-    buckets: list[list[Violation]] = [[] for _ in rules]
-    dispatch = _link_dispatch(list(enumerate(rules)))
-    for link in links:
-        for index, rule in dispatch[link.kind]:
-            found = rule.fn(link, ctx)
-            if found:
-                buckets[index].extend(found)
-    return buckets
-
-
-def _slices(items: list, pieces: int) -> list[list]:
-    if not items:
-        return []
-    size = max(1, -(-len(items) // pieces))
-    return [items[i:i + size] for i in range(0, len(items), size)]
 
 
 def _mp_context() -> Any:
@@ -1106,9 +856,8 @@ _LINK_KIND_BY_VALUE = {member.value: member for member in LinkKind}
 #: the node fragment as ``(seqs, ids, type values)`` columns, and the
 #: link shard as ``(sources, targets, kind values)`` columns.  Flat
 #: str/int columns pickle far cheaper than Node/Link objects (or even
-#: per-record tuples), and the parent rebuilds its sidecar (types,
-#: order, support aggregates, link-rule groups) from them while
-#: workers keep scanning.
+#: per-record tuples), and the parent merges them into its sidecar
+#: while workers keep scanning.
 _ScanResult = tuple[
     "list[list[Violation]]",
     "tuple[list[int], list[str], list[Any]]",
@@ -1122,8 +871,7 @@ _ScanResult = tuple[
 #: the same snapshot — reuses one verified handle instead of re-reading
 #: the manifest and re-parsing the journal overlay per task.  A cache
 #: hit is a pinned reader that already verified its generation at open
-#: time; content-addressed files keep serving it until an explicit gc,
-#: exactly the PR 7 pinned-reader contract.
+#: time; content-addressed files keep serving it until an explicit gc.
 _SCAN_HANDLE: "tuple[tuple[str, str, bool], Any] | None" = None
 
 
@@ -1154,80 +902,69 @@ def _stored_scan_task(
     """One shard's scan — the work-queue unit of the parallel path.
 
     The worker opens the store **at the parent's pinned generation**
-    (``generation`` is the parent's
-    :class:`~repro.store.StoreGeneration`; opening verifies the token
-    and rewinds any journal segments appended mid-check, so every
-    worker parses the one committed snapshot the parent pinned — a
-    rotated base raises ``StoreConflictError`` instead of silently
-    mixing generations).  It then parses only shard ``index``: the
-    link shard first — links shard by *source* id with the same hash
-    as nodes, so the shard's outgoing-SupportedBy set covers exactly
-    its own nodes' support bits — then the node shard, running node
-    rules as records parse.  Node and link fragments return as flat
-    value rows; the parent owns every cross-shard judgement.
+    (opening verifies the token and rewinds any journal segments
+    appended mid-check, so every worker parses the one committed
+    snapshot the parent pinned — a rotated base raises
+    ``StoreConflictError`` instead of silently mixing generations).  It
+    then parses only shard ``index``: the link shard first, into a
+    small :class:`RuleContext` — links shard by *source* id with the
+    same hash as nodes, so the shard's SupportedBy counts cover exactly
+    its own nodes — then the node shard, judging node rules against
+    that context.  Both fragments return as flat value columns; the
+    parent owns every cross-shard judgement.
     """
     stored = _scan_handle(directory, generation, ignore_torn_tail)
-    out_support: set[str] = set()
+    ctx = RuleContext(stored.name)
     sources: list[str] = []
     targets: list[str] = []
     kinds: list[Any] = []
-    supported_by = LinkKind.SUPPORTED_BY
     for _, link in stored.iter_shard_links(index):
-        if link.kind is supported_by:
-            out_support.add(link.source)
+        ctx.add_link(link)
         sources.append(link.source)
         targets.append(link.target)
         kinds.append(link.kind.value)
-    node_ctx = _ChunkContext({}, frozenset(out_support))
-    node_buckets: list[list[Violation]] = [[] for _ in node_rules]
-    dispatch = _node_dispatch(list(enumerate(node_rules)))
-    seqs: list[int] = []
-    identifiers: list[str] = []
-    type_values: list[Any] = []
-    for seq, node in stored.iter_shard_nodes(index):
-        seqs.append(seq)
-        identifiers.append(node.identifier)
-        type_values.append(node.node_type.value)
-        for rule_index, rule in dispatch[node.node_type]:
-            found = rule.fn(node, node_ctx)
-            if found:
-                node_buckets[rule_index].extend(found)
+    records = list(stored.iter_shard_nodes(index))
+    nodes = [node for _, node in records]
+    buckets: list[list[Violation]] = [[] for _ in node_rules]
+    _judge_nodes(
+        nodes, _node_dispatch(list(enumerate(node_rules))), ctx, buckets
+    )
     return (
-        node_buckets,
-        (seqs, identifiers, type_values),
+        buckets,
+        (
+            [seq for seq, _ in records],
+            [node.identifier for node in nodes],
+            [node.node_type.value for node in nodes],
+        ),
         (sources, targets, kinds),
     )
 
 
-def _run_parallel_stored(
+def _run_parallel(
     stored: Any, rules: tuple[ScopedRule, ...], workers: int
 ) -> list[Violation]:
     """Work-queue parallel check of a stored argument.
 
     One scan task per shard, pulled from the pool's queue on demand —
     a skewed shard occupies one worker while the rest keep draining
-    the queue, instead of idling behind the old round-robin shard
-    groups.  The parent pins the handle's generation and ships
-    the token to every worker (snapshot isolation: concurrent appends
+    the queue.  The parent pins the handle's generation and ships the
+    token to every worker (snapshot isolation: concurrent appends
     rewind, concurrent compaction raises ``StoreConflictError``).
 
-    The parent parses nothing.  Workers ship their node and link
-    fragments back as flat value rows (cheap to pickle), and the
-    parent rebuilds its sidecar from them in completion order: types,
-    seq order, the SupportedBy aggregates, and link-rule groups keyed
-    by (source shard, target shard).  A group is judged the moment
-    both its endpoint shards' type fragments have arrived — link work
-    overlaps the remaining shard scans, in the otherwise-idle parent.
-    Global rules run in the parent after the type merge.  The first
-    worker failure cancels every not-yet-started task and re-raises
-    with the failing shard noted on the exception.
+    The parent parses nothing.  It merges each worker's columns into
+    its sidecar in completion order and groups links by (source shard,
+    target shard); a group is judged the moment both its endpoint
+    shards' type fragments have arrived, overlapping the remaining
+    shard scans.  Global rules run after the merge.  The first worker
+    failure cancels every not-yet-started task and re-raises with the
+    failing shard noted on the exception.
     """
     # Runtime import: repro.store imports this module transitively.
     from ..store.format import shard_of
 
     node_rules, link_rules, global_rules = _split_rules(rules)
     node_fns = tuple(rule for _, rule in node_rules)
-    link_fns = tuple(rule for _, rule in link_rules)
+    link_dispatch = _link_dispatch(link_rules)
     directory = str(stored.path)
     # Workers reopen the store themselves at the parent's pinned
     # generation; a torn-tail-recovered parent handle must also hand
@@ -1236,16 +973,15 @@ def _run_parallel_stored(
     generation = stored.pin()
     shard_count = stored.shard_count
     buckets: list[list[Violation]] = [[] for _ in rules]
-    ctx = _StreamContext(stored.name, stored)
+    ctx = RuleContext(stored.name)
     arrived: set[int] = set()
     #: Links grouped by (source shard, target shard); judgeable once
     #: both shards' type fragments have merged.
     pending: dict[tuple[int, int], list[Link]] = {}
-    supported_by = LinkKind.SUPPORTED_BY
 
-    def _judge(links: "list[Link]", pair: "tuple[int, int]") -> None:
+    def _judge(pair: "tuple[int, int]") -> None:
         try:
-            link_parts = _link_unit_task(link_fns, links, ctx.types)
+            _judge_links(pending.pop(pair), link_dispatch, ctx, buckets)
         except BaseException as error:
             _note_failure(
                 error,
@@ -1253,8 +989,6 @@ def _run_parallel_stored(
                 f"shard {pair[1]} links failed (store {directory})",
             )
             raise
-        for (rule_index, _), part in zip(link_rules, link_parts):
-            buckets[rule_index].extend(part)
 
     pool_key, pool = _acquire_pool(workers)
     try:
@@ -1279,35 +1013,28 @@ def _run_parallel_stored(
             for (rule_index, _), part in zip(node_rules, node_parts):
                 buckets[rule_index].extend(part)
             for seq, identifier, type_value in zip(*node_cols):
-                ctx.types[identifier] = _NODE_TYPE_BY_VALUE[type_value]
-                ctx._order.append((seq, identifier))
+                ctx.add_node(seq, identifier, _NODE_TYPE_BY_VALUE[type_value])
             # Sources are disjoint across link shards (sharded by
-            # source id) and columns keep shard seq order, so appending
+            # source id) and columns keep shard seq order, so merging
             # preserves per-source adjacency order.
             for source, target, kind_value in zip(*link_cols):
-                kind = _LINK_KIND_BY_VALUE[kind_value]
-                if kind is supported_by:
-                    ctx.in_support.add(target)
-                    ctx.adjacency.setdefault(source, []).append(target)
-                if link_fns:
+                link = Link(source, target, _LINK_KIND_BY_VALUE[kind_value])
+                ctx.add_link(link)
+                if link_rules:
                     pending.setdefault(
                         (index, shard_of(target, shard_count)), []
-                    ).append(Link(source, target, kind))
+                    ).append(link)
             arrived.add(index)
-            # Link groups become judgeable the moment both endpoint
-            # type fragments land: judge them now, in the parent,
-            # overlapping the remaining shard scans.
-            ready = [
+            for pair in [
                 pair for pair in pending
                 if pair[0] in arrived and pair[1] in arrived
-            ]
-            for pair in ready:
-                _judge(pending.pop(pair), pair)
+            ]:
+                _judge(pair)
         for pair in sorted(pending):
             # Unreachable for in-range shards (every scan arrived);
             # kept so an out-of-contract store fails loudly here rather
             # than silently dropping links.
-            _judge(pending.pop(pair), pair)
+            _judge(pair)
         ctx.finalise()
         for rule_index, rule in global_rules:
             buckets[rule_index].extend(rule.fn(ctx))
@@ -1318,69 +1045,7 @@ def _run_parallel_stored(
         pool.shutdown(wait=False, cancel_futures=True)
         raise
     _release_pool(pool_key, pool)
-    return _assemble(rules, buckets)
-
-
-def _run_parallel(
-    subject: Any, rules: tuple[ScopedRule, ...], workers: int
-) -> list[Violation]:
-    """Work-queue parallel check of a live argument (or stored: above).
-
-    Units are list slices finer than the worker count, so the pool's
-    queue self-balances; results merge in completion order (canonical
-    output order makes collection order irrelevant).  Failure semantics
-    match the stored path: first error cancels the queue and re-raises
-    with the failing unit noted.
-    """
-    if is_stored_argument(subject):
-        return _run_parallel_stored(subject, rules, workers)
-    node_rules, link_rules, global_rules = _split_rules(rules)
-    ctx = _LiveContext(subject)
-    node_units = _slices(subject.nodes, workers * 4)
-    link_units = _slices(subject.links, workers * 4)
-    buckets: list[list[Violation]] = [[] for _ in rules]
-    node_fns = tuple(rule for _, rule in node_rules)
-    link_fns = tuple(rule for _, rule in link_rules)
-    pool_key, pool = _acquire_pool(workers)
-    try:
-        jobs: "dict[Future[list[list[Violation]]], tuple[_IndexedRules, str]]"
-        jobs = {}
-        if node_fns:
-            for unit_index, unit in enumerate(node_units):
-                support = frozenset(
-                    node.identifier
-                    for node in unit
-                    if ctx.cites_support(node.identifier)
-                )
-                jobs[
-                    pool.submit(_node_unit_task, node_fns, unit, support)
-                ] = (node_rules, f"node unit {unit_index}")
-        if link_fns:
-            for unit_index, unit in enumerate(link_units):
-                types: dict[str, NodeType] = {}
-                for link in unit:
-                    types[link.source] = ctx.node_type(link.source)
-                    types[link.target] = ctx.node_type(link.target)
-                jobs[
-                    pool.submit(_link_unit_task, link_fns, unit, types)
-                ] = (link_rules, f"link unit {unit_index}")
-        # Global rules overlap with the workers.
-        for index, rule in global_rules:
-            buckets[index].extend(rule.fn(ctx))
-        for job in as_completed(jobs):
-            indexed, label = jobs[job]
-            try:
-                parts = job.result()
-            except BaseException as error:
-                _note_failure(error, f"parallel check: {label} failed")
-                raise
-            for (index, _), part in zip(indexed, parts):
-                buckets[index].extend(part)
-    except BaseException:
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    _release_pool(pool_key, pool)
-    return _assemble(rules, buckets)
+    return _assemble(buckets)
 
 
 # -- incremental checking ---------------------------------------------------
@@ -1391,9 +1056,12 @@ class IncrementalChecker:
 
     Holds per-rule violation maps keyed by subject (node identifier for
     node rules, the :class:`~repro.core.argument.Link` itself for link
-    rules), storing only non-empty entries.  :meth:`check` consumes
-    :meth:`Argument.delta_since <repro.core.argument.Argument.delta_since>`
-    to invalidate and re-evaluate exactly the touched subjects:
+    rules), storing only non-empty entries.  :meth:`check` patches the
+    :class:`RuleContext` sidecar with the records since the last check
+    — a live argument's
+    :meth:`~repro.core.argument.Argument.delta_since`, or a stored
+    case's append journal (:meth:`from_store`) — and re-evaluates
+    exactly the touched subjects:
 
     * added nodes/links evaluate fresh; removed ones drop their entries;
     * a replaced node re-evaluates its node rules, and — when its *type*
@@ -1401,15 +1069,12 @@ class IncrementalChecker:
     * any link mutation re-evaluates the node rules of both endpoints
       (support-dependent rules like ``undeveloped-unmarked`` read them).
 
-    Global rules re-run on every :meth:`check` (they are whole-graph by
-    declaration), and a rotated delta log forces a full recompute, so
-    the result always equals a fresh full check.
-
-    :meth:`from_store` attaches the same machinery to a **persisted**
-    case instead of a live argument: the delta source becomes the
-    store's append journal, the context becomes a
-    :class:`_StoreContext` sidecar patched per journal record, and the
-    case is never hydrated.
+    Global rules refresh on every :meth:`check` (through their delta
+    hooks where offered), and a rotated delta log — or, for a store, a
+    compaction or full rewrite — forces one rebuild, so the result
+    always equals a fresh full check.  Besides the sidecar the checker
+    keeps a link index (all links, by source and by target) to find
+    what a retype must re-judge.
     """
 
     def __init__(
@@ -1421,12 +1086,50 @@ class IncrementalChecker:
                 f"{type(argument).__name__} (for a StoredArgument use "
                 "IncrementalChecker.from_store)"
             )
-        self._argument: "Argument | None" = argument
-        self._stored: Any = None
+        self._setup(argument, None, rules)
+
+    @classmethod
+    def from_store(
+        cls, stored: Any, rules: Iterable[ScopedRule]
+    ) -> "IncrementalChecker":
+        """A checker over a persisted case — no hydration, ever.
+
+        Builds the violation maps with one streaming pass over the
+        store (journal replayed), then each :meth:`check` consumes only
+        the journal records appended since — the deltas
+        ``Argument.save(journal=True)`` persists.  ``stored.hydrated``
+        stays ``False``: single-node re-evaluation uses lazy per-shard
+        lookups.  A compaction or full rewrite of the store (a new
+        base-shard generation) triggers one streaming rebuild.
+        """
+        if not is_stored_argument(stored):
+            raise TypeError(
+                "from_store needs a StoredArgument, got "
+                f"{type(stored).__name__}"
+            )
+        checker = cls.__new__(cls)
+        checker._setup(None, stored, rules)
+        return checker
+
+    def _setup(
+        self, argument: "Argument | None", stored: Any,
+        rules: Iterable[ScopedRule],
+    ) -> None:
+        self._argument = argument
+        self._stored = stored
         self._rules = tuple(rules)
         self._node_rules, self._link_rules, self._global_rules = \
             _split_rules(self._rules)
-        self._ctx: RuleContext = _LiveContext(argument)
+        # Dispatch tables indexed by slot (position within the scope).
+        self._node_dispatch = _node_dispatch(
+            list(enumerate(rule for _, rule in self._node_rules))
+        )
+        self._link_dispatch = _link_dispatch(
+            list(enumerate(rule for _, rule in self._link_rules))
+        )
+        self._links: dict[Link, None] = {}
+        self._out_links: dict[str, dict[Link, None]] = {}
+        self._in_links: dict[str, dict[Link, None]] = {}
         self._node_hits: list[dict[str, tuple[Violation, ...]]] = [
             {} for _ in self._node_rules
         ]
@@ -1437,141 +1140,79 @@ class IncrementalChecker:
             () for _ in self._global_rules
         ]
         self._seq = -1
+        self._base_key: Any = None
+        self._journal_key: tuple[str, ...] = ()
         self._rebuild()
-
-    @classmethod
-    def from_store(
-        cls, stored: Any, rules: Iterable[ScopedRule]
-    ) -> "IncrementalChecker":
-        """A checker over a persisted case — no hydration, ever.
-
-        Builds the violation maps with one streaming pass over the
-        store's shards (journal replayed), then each :meth:`check`
-        consumes only the journal records appended since — the deltas
-        ``Argument.save(journal=True)`` persists — re-evaluating exactly
-        the touched subjects.  ``stored.hydrated`` stays ``False``: the
-        context is a type/support/adjacency sidecar, and single-node
-        re-evaluation uses lazy per-shard lookups.  A compaction or
-        full rewrite of the store (a new base-shard generation) triggers
-        one streaming rebuild; legacy whole-argument rules are rejected
-        because they would require hydration.
-        """
-        if not is_stored_argument(stored):
-            raise TypeError(
-                "from_store needs a StoredArgument, got "
-                f"{type(stored).__name__}"
-            )
-        checker = cls.__new__(cls)
-        checker._argument = None
-        checker._stored = stored
-        checker._rules = tuple(rules)
-        checker._node_rules, checker._link_rules, checker._global_rules = \
-            _split_rules(checker._rules)
-        checker._ctx = _StoreContext(stored)
-        checker._node_hits = [{} for _ in checker._node_rules]
-        checker._link_hits = [{} for _ in checker._link_rules]
-        checker._global_hits = [() for _ in checker._global_rules]
-        checker._seq = -1
-        checker._rebuild_store()
-        return checker
 
     @property
     def argument(self) -> "Argument | None":
         """The live argument, or ``None`` for a store-backed checker."""
         return self._argument
 
-    # -- graph accessors (live argument or store sidecar) -----------------
-
-    def _graph_node(self, identifier: str) -> Node:
-        if self._stored is None:
-            return self._argument.node(identifier)
-        return self._stored.node(identifier)
-
-    def _graph_contains(self, identifier: str) -> bool:
-        if self._stored is None:
-            return identifier in self._argument
-        return identifier in self._ctx.types
-
-    def _graph_has_link(self, link: Link) -> bool:
-        if self._stored is None:
-            return self._argument.has_link(link)
-        return link in self._ctx.links
-
-    def _graph_links_of(self, identifier: str) -> list[Link]:
-        if self._stored is None:
-            return self._argument.links_of(identifier)
-        return list(self._ctx.out_links.get(identifier, ())) + list(
-            self._ctx.in_links.get(identifier, ())
-        )
+    def _index_link(self, op: str, link: Link) -> None:
+        if op == "add_link":
+            self._links[link] = None
+            self._out_links.setdefault(link.source, {})[link] = None
+            self._in_links.setdefault(link.target, {})[link] = None
+        elif op == "remove_link":
+            self._links.pop(link, None)
+            self._out_links.get(link.source, {}).pop(link, None)
+            self._in_links.get(link.target, {}).pop(link, None)
 
     def _rebuild(self) -> None:
-        for hits in self._node_hits:
-            hits.clear()
-        for hits in self._link_hits:
-            hits.clear()
-        for node in self._argument.nodes:
-            self._refresh_node(node)
-        for link in self._argument.links:
-            self._refresh_link(link)
-        for slot, (_, rule) in enumerate(self._global_rules):
-            self._global_hits[slot] = tuple(rule.fn(self._ctx))
-        self._seq = self._argument.mutation_seq
+        """One pass over the subject: sidecar, link index, violations.
 
-    def _rebuild_store(self) -> None:
-        """One streaming pass over the store: sidecar + violation maps.
-
-        Links stream first (the sidecar aggregates node rules read),
-        then nodes (evaluating node rules as records parse — node
-        payloads are not retained), then link rules over the link index
-        and the global rules over the completed sidecar.  No hydration:
-        this is the streaming check's cost, paid once at attach and
-        again only if the base shards are replaced underneath us.
+        Links first (the support aggregates node rules read), then
+        nodes (judged as they stream — a store's node payloads are not
+        retained), then link rules over the link index and the global
+        rules over the finished sidecar.  For a store this is the
+        streaming check's cost, paid at attach and again only if the
+        base shards are replaced underneath the checker.
         """
-        ctx: _StoreContext = self._ctx
-        ctx.reset()
-        for hits in self._node_hits:
-            hits.clear()
-        for hits in self._link_hits:
-            hits.clear()
-        for link in self._stored.iter_links():
-            ctx.apply_op("add_link", link)
-        for node in self._stored.iter_nodes():
-            ctx.types[node.identifier] = node.node_type
-            ctx.order[node.identifier] = None
+        subject = self._stored if self._argument is None else self._argument
+        ctx = self._ctx = RuleContext(subject.name)
+        self._links.clear()
+        self._out_links.clear()
+        self._in_links.clear()
+        for node_hits in self._node_hits:
+            node_hits.clear()
+        for link_hits in self._link_hits:
+            link_hits.clear()
+        for link in iter_subject_links(subject):
+            ctx.add_link(link)
+            self._index_link("add_link", link)
+        for seq, node in enumerate(iter_subject_nodes(subject)):
+            ctx.add_node(seq, node.identifier, node.node_type)
             self._refresh_node(node)
-        for link in ctx.links:
+        ctx.finalise()
+        for link in self._links:
             self._refresh_link(link)
         for slot, (_, rule) in enumerate(self._global_rules):
             self._global_hits[slot] = tuple(rule.fn(ctx))
-        self._seq = len(self._stored.journal_ops())
-        self._base_key = self._stored.base_key()
-        self._journal_key = tuple(self._stored.journal_segments)
+        if self._argument is not None:
+            self._seq = self._argument.mutation_seq
+        else:
+            self._seq = len(self._stored.journal_ops())
+            self._base_key = self._stored.base_key()
+            self._journal_key = tuple(self._stored.journal_segments)
 
     def _refresh_node(self, node: Node) -> None:
-        identifier = node.identifier
-        for slot, (_, rule) in enumerate(self._node_rules):
-            types = rule.node_types
-            if types is not None and node.node_type not in types:
-                # Dispatch filter: the rule cannot fire for this type —
-                # clear any entry left from a pre-retype evaluation.
-                self._node_hits[slot].pop(identifier, None)
-                continue
-            found = rule.fn(node, self._ctx)
-            if found:
-                self._node_hits[slot][identifier] = tuple(found)
+        found: list[list[Violation]] = [[] for _ in self._node_hits]
+        _judge_nodes((node,), self._node_dispatch, self._ctx, found)
+        for hits, violations in zip(self._node_hits, found):
+            if violations:
+                hits[node.identifier] = tuple(violations)
             else:
-                self._node_hits[slot].pop(identifier, None)
+                hits.pop(node.identifier, None)
 
     def _refresh_link(self, link: Link) -> None:
-        for slot, (_, rule) in enumerate(self._link_rules):
-            kind = rule.link_kind
-            if kind is not None and link.kind is not kind:
-                continue  # a link never changes kind; nothing cached
-            found = rule.fn(link, self._ctx)
-            if found:
-                self._link_hits[slot][link] = tuple(found)
+        found: list[list[Violation]] = [[] for _ in self._link_hits]
+        _judge_links((link,), self._link_dispatch, self._ctx, found)
+        for hits, violations in zip(self._link_hits, found):
+            if violations:
+                hits[link] = tuple(violations)
             else:
-                self._link_hits[slot].pop(link, None)
+                hits.pop(link, None)
 
     def _drop_node(self, identifier: str) -> None:
         for hits in self._node_hits:
@@ -1581,7 +1222,45 @@ class IncrementalChecker:
         for hits in self._link_hits:
             hits.pop(link, None)
 
+    def _pending_records(self) -> "tuple[tuple[str, Any], ...] | None":
+        """Records since the last check, or ``None`` to force a rebuild.
+
+        A live argument's bounded delta log may have rotated past the
+        cursor.  A store is re-read first (``refresh()``); anything but
+        a pure journal extension forces a rebuild — the base shards
+        unchanged *and* the consumed segment names a prefix of the
+        current journal.  Position alone is not enough, because a
+        compaction can reproduce identical base shards (the names are
+        content-addressed) while resetting the journal, after which a
+        regrown journal of the same length holds different records.
+        """
+        if self._argument is not None:
+            delta = self._argument.delta_since(self._seq)
+            if delta is None:
+                return None
+            self._seq = self._argument.mutation_seq
+            return delta.records
+        stored = self._stored
+        stored.refresh()
+        segments = tuple(stored.journal_segments)
+        if (
+            stored.base_key() != self._base_key
+            or segments[:len(self._journal_key)] != self._journal_key
+        ):
+            return None
+        ops = stored.journal_ops()
+        if len(ops) < self._seq:  # torn-tail recovery shrank the journal
+            return None
+        records = tuple(ops[self._seq:])
+        self._seq = len(ops)
+        self._journal_key = segments
+        return records
+
     def _apply(self, records: tuple[tuple[str, Any], ...]) -> None:
+        for op, payload in records:
+            self._ctx.apply_op(op, payload)
+            self._index_link(op, payload)
+        types = self._ctx.types
         touched_nodes: set[str] = set()
         touched_links: set[Link] = set()
         for op, payload in records:
@@ -1593,14 +1272,14 @@ class IncrementalChecker:
             elif op == "replace_node":
                 old, new = payload
                 touched_nodes.add(new.identifier)
-                if (
-                    old.node_type is not new.node_type
-                    and self._graph_contains(new.identifier)
-                ):
+                if old.node_type is not new.node_type:
                     # A retype can flip link-rule verdicts on every link
                     # touching the node.
                     touched_links.update(
-                        self._graph_links_of(new.identifier)
+                        self._out_links.get(new.identifier, ())
+                    )
+                    touched_links.update(
+                        self._in_links.get(new.identifier, ())
                     )
             elif op == "add_link":
                 touched_links.add(payload)
@@ -1612,12 +1291,14 @@ class IncrementalChecker:
                 touched_nodes.add(payload.source)
                 touched_nodes.add(payload.target)
         for identifier in touched_nodes:
-            if self._graph_contains(identifier):
-                self._refresh_node(self._graph_node(identifier))
-            else:
+            if identifier not in types:
                 self._drop_node(identifier)
+            elif self._argument is not None:
+                self._refresh_node(self._argument.node(identifier))
+            else:
+                self._refresh_node(self._stored.node(identifier))
         for link in touched_links:
-            if self._graph_has_link(link):
+            if link in self._links:
                 self._refresh_link(link)
             else:
                 self._drop_link(link)
@@ -1636,43 +1317,6 @@ class IncrementalChecker:
                 found = rule.fn(self._ctx)
             self._global_hits[slot] = tuple(found)
 
-    def _sync_store(self) -> None:
-        """Catch up with the persisted journal before assembling.
-
-        ``refresh()`` re-reads the manifest; anything but a pure journal
-        extension forces one streaming rebuild, otherwise only the
-        records appended since the last check patch the sidecar and
-        re-evaluate their touched subjects.  A pure extension means the
-        base shards are unchanged *and* the consumed segment names are
-        a prefix of the current journal — position alone is not enough,
-        because a compaction can reproduce identical base shards (the
-        names are content-addressed) while resetting the journal, after
-        which a regrown journal of the same length holds different
-        records.
-        """
-        self._stored.refresh()
-        segments = tuple(self._stored.journal_segments)
-        if (
-            self._stored.base_key() != self._base_key
-            or segments[:len(self._journal_key)] != self._journal_key
-        ):
-            self._rebuild_store()
-            return
-        ops = self._stored.journal_ops()
-        if len(ops) < self._seq:  # torn-tail recovery shrank the journal
-            self._rebuild_store()
-            return
-        if len(ops) == self._seq:
-            self._journal_key = segments
-            return
-        records = tuple(ops[self._seq:])
-        for op, payload in records:
-            self._ctx.apply_op(op, payload)
-        self._apply(records)
-        self._update_globals(records)
-        self._seq = len(ops)
-        self._journal_key = segments
-
     def check(self) -> list[Violation]:
         """Current violations; output identical to a fresh full check.
 
@@ -1683,19 +1327,12 @@ class IncrementalChecker:
         store-backed checker, a replaced base-shard generation) forces
         a complete rebuild.
         """
-        if self._stored is not None:
-            self._sync_store()
-            return self._assemble_hits()
-        delta = self._argument.delta_since(self._seq)
-        if delta is None:
-            self._rebuild()  # the bounded log rotated past us
-        elif delta:
-            self._apply(delta.records)
-            self._update_globals(delta.records)
-            self._seq = self._argument.mutation_seq
-        return self._assemble_hits()
-
-    def _assemble_hits(self) -> list[Violation]:
+        records = self._pending_records()
+        if records is None:
+            self._rebuild()
+        elif records:
+            self._apply(records)
+            self._update_globals(records)
         buckets: list[list[Violation]] = [[] for _ in self._rules]
         for slot, (index, _) in enumerate(self._node_rules):
             for found in self._node_hits[slot].values():
@@ -1705,7 +1342,7 @@ class IncrementalChecker:
                 buckets[index].extend(found)
         for slot, (index, _) in enumerate(self._global_rules):
             buckets[index].extend(self._global_hits[slot])
-        return _assemble(self._rules, buckets)
+        return _assemble(buckets)
 
     def is_well_formed(self) -> bool:
         return not self.check()

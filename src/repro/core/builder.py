@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .analysis import run_rules
 from .argument import Argument, LinkKind
 from .nodes import DEFAULT_PREFIXES, Node, NodeType
 from .wellformed import GSN_STANDARD_RULES, RuleSet, Violation
@@ -179,7 +180,7 @@ class ArgumentBuilder:
     ) -> Argument:
         """Finish; by default verify well-formedness and raise on failure."""
         if check:
-            violations = rules.check(self._argument)
+            violations = run_rules(self._argument, rules.rules)
             if violations:
                 raise BuildError(violations)
         return self._argument

@@ -26,6 +26,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from .analysis import run_rules
 from .argument import Argument
 from .evidence import EvidenceItem, EvidenceRegistry
 from .nodes import NodeType
@@ -296,7 +297,7 @@ class AssuranceCase:
         self, rules: RuleSet = GSN_STANDARD_RULES
     ) -> IntegrityReport:
         """Run every mechanical bookkeeping check."""
-        violations = tuple(rules.check(self.argument))
+        violations = tuple(run_rules(self.argument, rules.rules))
         cited = {
             evidence_id
             for citations in self._citations.values()

@@ -57,7 +57,7 @@ from ..core.query import (
     node_type_is,
     text_contains,
 )
-from ..checking import check as run_check
+from ..checking import CHECK_MODES, check as run_check
 from ..claims import GSN_OBLIGATION_RULES
 from ..core.wellformed import RuleSet
 from ..notation.json_io import node_payload
@@ -345,7 +345,10 @@ class ArgumentService:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0")
+        if not declared.isdecimal():  # "", "-5", "1e3", "abc"
+            raise ServiceError(400, "malformed Content-Length header")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise ServiceError(413, "request body too large")
         body: Any = None
@@ -522,7 +525,8 @@ class ArgumentService:
             ],
         }
 
-    _CHECK_MODES = ("auto", "serial", "streaming", "parallel", "full")
+    #: The facade's one-shot modes (each check reads a fresh snapshot).
+    _CHECK_MODES = tuple(m for m in CHECK_MODES if m != "incremental")
 
     async def _post_check(
         self, state: _StoreState, body: Any

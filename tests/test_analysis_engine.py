@@ -1,29 +1,27 @@
 """The scoped streaming rule engine: mode equivalence and incrementality.
 
-Pins the tentpole contracts of :mod:`repro.core.analysis`:
+Pins the contracts of :mod:`repro.core.analysis`:
 
-* one rule set, four execution modes — serial, full (hydrate first),
-  streaming over a saved store, and parallel across process workers —
-  all producing the *identical* violation list;
+* one rule set, every execution mode — serial over a live argument,
+  serial over a hydrated ``stored.load()``, streaming over a saved
+  store, and parallel across process workers — all producing the
+  *identical* violation list;
 * streaming and parallel checks never hydrate the store (asserted via
   ``StoredArgument.hydrated``);
 * the :class:`~repro.core.analysis.IncrementalChecker` equals a fresh
-  full check after arbitrary mutations, including retypes (which flip
-  link-rule verdicts), cycle creation/destruction (the delta-aware
-  acyclic hook), batches, and delta-log rotation;
-* legacy whole-argument :class:`~repro.core.wellformed.Rule` callables
-  keep working through the global-scope adapter, with hydration as the
-  fallback rather than the default.
+  serial check after arbitrary mutations, including retypes (which flip
+  link-rule verdicts), removing one of two support links, re-adding a
+  removed node, cycle creation/destruction (the delta-aware acyclic
+  hook), batches, and delta-log rotation.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import check
 from repro.core.analysis import (
     IncrementalChecker,
-    Scope,
-    ScopedRule,
     Violation,
     ensure_argument,
     is_stored_argument,
@@ -31,22 +29,15 @@ from repro.core.analysis import (
     per_node,
     run_rules,
 )
-from repro.core.argument import Argument, LinkKind
+from repro.core.argument import Argument, Link, LinkKind
 from repro.core.nodes import Node, NodeType
-from repro.core.wellformed import (
-    DENNEY_PAI_RULES,
-    GSN_STANDARD_RULES,
-    Rule,
-    RuleSet,
-    check,
-)
+from repro.core.wellformed import DENNEY_PAI_RULES, GSN_STANDARD_RULES
 from repro.store import StoredArgument
 
 pytestmark = pytest.mark.analysis
 
 
-@pytest.fixture
-def ill_formed() -> Argument:
+def ill_formed_argument() -> Argument:
     """Violates link rules, node rules, and the single-root global rule."""
     argument = Argument("engine-fixture")
     argument.add_nodes([
@@ -70,6 +61,11 @@ def ill_formed() -> Argument:
 
 
 @pytest.fixture
+def ill_formed() -> Argument:
+    return ill_formed_argument()
+
+
+@pytest.fixture
 def stored(ill_formed, tmp_path) -> StoredArgument:
     store_dir = tmp_path / "engine.store"
     ill_formed.save(store_dir)
@@ -80,18 +76,17 @@ class TestModeEquivalence:
     def test_all_modes_identical(self, ill_formed, tmp_path):
         store_dir = tmp_path / "modes.store"
         ill_formed.save(store_dir)
-        serial = check(ill_formed)
+        serial = list(check(ill_formed))
         assert serial, "fixture must actually violate rules"
 
         streaming_store = StoredArgument(store_dir)
-        streaming = check(streaming_store, mode="streaming")
-        full_store = StoredArgument(store_dir)
-        full = check(full_store, mode="full")
+        streaming = list(check(streaming_store, mode="streaming"))
+        hydrated = list(check(StoredArgument(store_dir).load()))
         parallel_store = StoredArgument(store_dir)
-        parallel = check(parallel_store, mode="parallel", workers=2)
-        parallel_live = check(ill_formed, mode="parallel", workers=2)
+        parallel = list(check(parallel_store, mode="parallel", workers=2))
+        parallel_live = list(check(ill_formed, mode="parallel", workers=2))
 
-        assert serial == streaming == full == parallel == parallel_live
+        assert serial == streaming == hydrated == parallel == parallel_live
 
     def test_streaming_reads_shards_without_hydrating(self, stored):
         check(stored, mode="streaming")
@@ -102,9 +97,13 @@ class TestModeEquivalence:
         check(stored, mode="parallel", workers=2)
         assert not stored.hydrated
 
-    def test_full_mode_hydrates(self, stored):
-        check(stored, mode="full")
+    def test_full_mode_hydrates(self, stored, ill_formed):
+        # The old ``full`` mode is now spelled ``check(stored.load())``.
+        hydrated = stored.load()
         assert stored.hydrated
+        assert list(check(hydrated)) == list(check(ill_formed))
+        with pytest.raises(ValueError, match="unknown analysis mode"):
+            run_rules(stored, GSN_STANDARD_RULES.rules, mode="full")
 
     def test_auto_mode_streams_stored_arguments(self, stored):
         check(stored)
@@ -112,12 +111,13 @@ class TestModeEquivalence:
 
     def test_single_worker_degrades_to_streaming(self, stored, ill_formed):
         degraded = check(stored, mode="parallel", workers=1)
-        assert degraded == check(ill_formed)
+        assert degraded.mode == "streaming"
+        assert list(degraded) == list(check(ill_formed))
         assert not stored.hydrated
 
     def test_denney_pai_rules_across_modes(self, ill_formed, stored):
-        assert check(stored, DENNEY_PAI_RULES) == \
-            check(ill_formed, DENNEY_PAI_RULES)
+        assert list(check(stored, DENNEY_PAI_RULES)) == \
+            list(check(ill_formed, DENNEY_PAI_RULES))
 
     def test_cycle_rendering_identical_across_modes(self, tmp_path):
         cyclic = Argument("cyclic")
@@ -132,13 +132,13 @@ class TestModeEquivalence:
             ("G3", "G1", LinkKind.SUPPORTED_BY),
         ])
         cyclic.save(tmp_path / "cyclic.store")
-        serial = check(cyclic)
+        serial = list(check(cyclic))
         assert any(v.rule == "acyclic" for v in serial)
-        streamed = check(StoredArgument(tmp_path / "cyclic.store"))
-        parallel = check(
+        streamed = list(check(StoredArgument(tmp_path / "cyclic.store")))
+        parallel = list(check(
             StoredArgument(tmp_path / "cyclic.store"),
             mode="parallel", workers=2,
-        )
+        ))
         assert serial == streamed == parallel
 
     def test_unknown_mode_rejected(self, ill_formed):
@@ -164,49 +164,6 @@ class TestSharedStoreHelpers:
         assert stored.hydrated
         with pytest.raises(TypeError, match="got int"):
             ensure_argument(7)
-
-
-class TestLegacyRuleAdapter:
-    @staticmethod
-    def _legacy_set() -> RuleSet:
-        def no_empty_texts(argument: Argument) -> list[Violation]:
-            return [
-                Violation("short-text", node.identifier,
-                          "node text is suspiciously short")
-                for node in argument.nodes
-                if len(node.text) < 10
-            ]
-
-        return RuleSet("legacy", (
-            Rule("short-text", "texts are not trivially short",
-                 no_empty_texts),
-        ))
-
-    def test_legacy_rules_adapt_and_run(self, ill_formed):
-        legacy = self._legacy_set()
-        assert all(rule.scope is Scope.GLOBAL for rule in legacy.rules)
-        assert legacy.check(ill_formed) == []
-        ill_formed.add_node(Node("T1", NodeType.CONTEXT, "Tiny text"))
-        assert [v.rule for v in legacy.check(ill_formed)] == ["short-text"]
-
-    def test_legacy_rules_hydrate_stored_arguments_once(self, stored):
-        legacy = RuleSet("legacy-pair", (
-            Rule("a", "first legacy rule", lambda argument: []),
-            Rule("b", "second legacy rule", lambda argument: []),
-        ))
-        assert legacy.check(stored) == []
-        # Hydration is the fallback (and happens at most once, however
-        # many legacy rules ask).
-        assert stored.hydrated
-
-    def test_mixed_scoped_and_legacy_rule_set(self, ill_formed):
-        mixed = RuleSet("mixed", GSN_STANDARD_RULES.rules[:3] + (
-            Rule("always-one", "fires once per argument",
-                 lambda argument: [Violation(
-                     "always-one", argument.name, "fired")]),
-        ))
-        found = mixed.check(ill_formed)
-        assert [v.rule for v in found][-1] == "always-one"
 
 
 def _flag_away_goals(node, ctx):
@@ -237,15 +194,77 @@ class TestDispatchFilters:
         assert len(found) == 2
         assert all("~>" in v.subject for v in found)
 
-    def test_filters_hold_in_parallel_mode(self, ill_formed):
+    def test_filters_hold_in_parallel_mode(self, ill_formed, stored):
         rules = (
             per_node("no-away", "flags away goals", _flag_away_goals,
                      node_types=(NodeType.AWAY_GOAL,)),
             per_link("no-context-links", "flags context links",
                      _flag_context_links, kind=LinkKind.IN_CONTEXT_OF),
         )
-        assert run_rules(ill_formed, rules, mode="parallel", workers=2) \
+        assert run_rules(stored, rules, mode="parallel", workers=2) \
             == run_rules(ill_formed, rules)
+
+
+# Edit scripts for the incremental-equivalence test: each yields after
+# every edit, and the test compares the incremental checker with a fresh
+# serial check at each yield.
+
+
+def _mixed_edits(argument: Argument):
+    argument.add_node(Node(
+        "G9", NodeType.GOAL, "Another claim stands unsupported"
+    ))
+    yield
+    argument.add_link("G3", "G9", LinkKind.SUPPORTED_BY)
+    yield
+    argument.remove_node("G9")
+    yield
+    with argument.batch():
+        argument.add_node(Node(
+            "S2", NodeType.STRATEGY, "Argument over spare parts"
+        ))
+        argument.add_link("G3", "S2", LinkKind.SUPPORTED_BY)
+        argument.remove_link(
+            next(link for link in argument.links if link.source == "Sn1")
+        )
+    yield
+
+
+def _drop_one_of_two_supports(argument: Argument):
+    # G1 cites both G2 and S1: the sidecar counts support links, so
+    # losing one of them must leave G1 citing support.
+    argument.remove_link(Link("G1", "S1", LinkKind.SUPPORTED_BY))
+    yield
+    assert argument.cites_support("G1")
+    argument.remove_link(Link("G1", "G2", LinkKind.SUPPORTED_BY))
+    yield
+
+
+def _retype_rejudges_links(argument: Argument):
+    # C1 receives G2's context link; as a goal it is an illegal
+    # InContextOf target, and back as context it is legal again.
+    argument.replace_node(Node("C1", NodeType.GOAL, "Context became a claim"))
+    yield
+    argument.replace_node(Node("C1", NodeType.CONTEXT, "Operating context"))
+    yield
+
+
+def _readd_orders_last(argument: Argument):
+    # Roots are reported in insertion order: a removed and re-added G1
+    # must move behind every other root in the single-root detail.
+    first = argument.node("G1")
+    argument.remove_node("G1")
+    yield
+    argument.add_node(first)
+    yield
+
+
+EDIT_SCRIPTS = (
+    _mixed_edits,
+    _drop_one_of_two_supports,
+    _retype_rejudges_links,
+    _readd_orders_last,
+)
 
 
 class TestIncrementalChecker:
@@ -253,34 +272,19 @@ class TestIncrementalChecker:
         with pytest.raises(TypeError, match="needs a live Argument"):
             IncrementalChecker(stored, GSN_STANDARD_RULES.rules)
 
-    def test_tracks_arbitrary_mutations(self, ill_formed):
-        checker = GSN_STANDARD_RULES.incremental(ill_formed)
-        assert checker.check() == check(ill_formed)
-
-        ill_formed.add_node(Node(
-            "G9", NodeType.GOAL, "Another claim stands unsupported"
-        ))
-        assert checker.check() == check(ill_formed)
-
-        ill_formed.add_link("G3", "G9", LinkKind.SUPPORTED_BY)
-        assert checker.check() == check(ill_formed)
-
-        ill_formed.remove_node("G9")
-        assert checker.check() == check(ill_formed)
-
-        with ill_formed.batch():
-            ill_formed.add_node(Node(
-                "S2", NodeType.STRATEGY, "Argument over spare parts"
-            ))
-            ill_formed.add_link("G3", "S2", LinkKind.SUPPORTED_BY)
-            ill_formed.remove_link(
-                next(link for link in ill_formed.links
-                     if link.source == "Sn1")
-            )
-        assert checker.check() == check(ill_formed)
+    def test_tracks_arbitrary_mutations(self):
+        rules = GSN_STANDARD_RULES.rules
+        for script in EDIT_SCRIPTS:
+            argument = ill_formed_argument()
+            checker = IncrementalChecker(argument, rules)
+            assert checker.check() == run_rules(argument, rules)
+            for step, _ in enumerate(script(argument)):
+                assert checker.check() == run_rules(
+                    argument, rules, mode="serial"
+                ), f"{script.__name__}, after step {step}"
 
     def test_retype_flips_link_rule_verdicts(self, ill_formed):
-        checker = GSN_STANDARD_RULES.incremental(ill_formed)
+        checker = IncrementalChecker(ill_formed, GSN_STANDARD_RULES.rules)
         checker.check()
         # Sn2 (a solution receiving a context link) becomes a context
         # node: the in-context-of-target violation must disappear and
@@ -289,11 +293,11 @@ class TestIncrementalChecker:
         ill_formed.replace_node(Node(
             "Sn2", NodeType.CONTEXT, "Repurposed as context"
         ))
-        assert checker.check() == check(ill_formed)
+        assert checker.check() == list(check(ill_formed))
         ill_formed.replace_node(Node(
             "Sn2", NodeType.SOLUTION, "Back to being a solution"
         ))
-        assert checker.check() == check(ill_formed)
+        assert checker.check() == list(check(ill_formed))
 
     def test_cycle_appears_and_disappears(self):
         argument = Argument("cycle-delta")
@@ -302,21 +306,21 @@ class TestIncrementalChecker:
             Node("G2", NodeType.GOAL, "Claim two holds"),
         ])
         argument.add_link("G1", "G2", LinkKind.SUPPORTED_BY)
-        checker = GSN_STANDARD_RULES.incremental(argument)
+        checker = IncrementalChecker(argument, GSN_STANDARD_RULES.rules)
         assert not any(v.rule == "acyclic" for v in checker.check())
 
         closing = argument.add_link("G2", "G1", LinkKind.SUPPORTED_BY)
         found = checker.check()
         assert any(v.rule == "acyclic" for v in found)
-        assert found == check(argument)
+        assert found == list(check(argument))
 
         argument.remove_link(closing)
         cleaned = checker.check()
         assert not any(v.rule == "acyclic" for v in cleaned)
-        assert cleaned == check(argument)
+        assert cleaned == list(check(argument))
 
     def test_unchanged_argument_reuses_caches(self, ill_formed):
-        checker = GSN_STANDARD_RULES.incremental(ill_formed)
+        checker = IncrementalChecker(ill_formed, GSN_STANDARD_RULES.rules)
         first = checker.check()
         assert checker.check() == first
 
@@ -328,7 +332,7 @@ class TestIncrementalChecker:
         argument.add_node(Node(
             "G1", NodeType.GOAL, "The top claim holds", undeveloped=True
         ))
-        checker = GSN_STANDARD_RULES.incremental(argument)
+        checker = IncrementalChecker(argument, GSN_STANDARD_RULES.rules)
         checker.check()
         for index in range(2, 20):  # far beyond the bounded log
             argument.add_node(Node(
@@ -336,4 +340,4 @@ class TestIncrementalChecker:
                 undeveloped=True,
             ))
         assert argument.delta_since(0) is None
-        assert checker.check() == check(argument)
+        assert checker.check() == list(check(argument))

@@ -6,10 +6,10 @@ deterministic discharge for all five kinds; compilation onto the
 scoped rule engine (audited, picklable, registered in the import-time
 gate); engine equivalence — a claim module's violations, obligation
 failures included, are identical under serial, streaming, parallel,
-full, and incremental execution; the selective re-proof contract
-(editing one claim's evidence re-runs exactly one proof, counters
-asserted); and the ``repro.check`` facade's typed ``CheckReport`` with
-the legacy entry points delegating to it.
+and incremental execution and on a hydrated ``stored.load()``; the
+selective re-proof contract (editing one claim's evidence re-runs
+exactly one proof, counters asserted); and the ``repro.check``
+facade's typed ``CheckReport``.
 """
 
 from __future__ import annotations
@@ -49,10 +49,9 @@ from repro.claims import (
     validate_obligation,
 )
 from repro.claims.lang import ForbidLink, RequireMention
+from repro.core.analysis import IncrementalChecker
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
-from repro.core.wellformed import GSN_STANDARD_RULES, is_well_formed
-from repro.core.wellformed import check as legacy_check
 from repro.store import StoredArgument
 
 pytestmark = [pytest.mark.claims]
@@ -298,7 +297,6 @@ class TestModeEquivalence:
         assert [v.rule for v in serial] == [OBLIGATION_RULE_NAME] * 2
         assert serial.mode == "serial" and not serial.well_formed
 
-        full = repro.check(argument, rules, mode="full")
         incremental = repro.check(argument, rules, mode="incremental")
 
         store_dir = tmp_path / "kernel.store"
@@ -306,6 +304,7 @@ class TestModeEquivalence:
         stored = StoredArgument(store_dir)
         streaming = repro.check(stored, rules, mode="streaming")
         assert not stored.hydrated
+        hydrated = repro.check(StoredArgument(store_dir).load(), rules)
         parallel = repro.check(
             StoredArgument(store_dir), rules, mode="parallel", workers=2
         )
@@ -314,7 +313,7 @@ class TestModeEquivalence:
         )
 
         expected = tuple(serial)
-        for report in (full, incremental, streaming, parallel,
+        for report in (hydrated, incremental, streaming, parallel,
                        stored_incremental):
             assert tuple(report) == expected, report.mode
 
@@ -378,7 +377,7 @@ class TestSelectiveReproof:
     def test_single_edit_reproves_exactly_one(self):
         argument, claims = proof_module(8)
         rules = claims.rule_set
-        checker = rules.incremental(argument)
+        checker = IncrementalChecker(argument, rules.rules)
         checker.check()
         target = argument.node("Sn5")
         replacement = f"sat: {unique_atom('edit')}"
@@ -436,7 +435,7 @@ class TestSelectiveReproof:
         assert not handle.hydrated
 
 
-# -- the facade and the shims -------------------------------------------------
+# -- the facade ---------------------------------------------------------------
 
 
 class TestCheckFacade:
@@ -462,6 +461,8 @@ class TestCheckFacade:
         argument = exemplar_argument()
         with pytest.raises(ValueError):
             repro.check(argument, mode="psychic")
+        with pytest.raises(ValueError, match="incremental"):
+            repro.check(argument, mode="full")  # hydrate: check(s.load())
         assert repro.check(argument, mode="auto").mode == "serial"
         assert repro.check(
             argument, mode="parallel", workers=1
@@ -483,16 +484,6 @@ class TestCheckFacade:
             argument = exemplar_argument()
             repro.check(argument, mode="incremental")
         assert len(_CHECKERS) <= _MAX_INCREMENTAL_SUBJECTS
-
-    def test_legacy_entrypoints_delegate(self):
-        argument = exemplar_argument()
-        violations = legacy_check(argument)
-        assert violations == [] and isinstance(violations, list)
-        assert is_well_formed(argument)
-        assert GSN_STANDARD_RULES.check(argument) == []
-        broken, claims = broken_kernel()
-        assert [v.rule for v in claims.rule_set.check(broken)] == \
-            [OBLIGATION_RULE_NAME] * 2
 
     def test_top_level_all_is_importable(self):
         for name in repro.__all__:

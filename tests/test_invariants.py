@@ -59,8 +59,10 @@ import random
 
 import pytest
 
+import repro
 from repro.claims import GSN_OBLIGATION_RULES, obligation_counters
 from repro.claims.obligations import OBLIGATION_KEY
+from repro.core.analysis import IncrementalChecker
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
 from repro.core.wellformed import GSN_STANDARD_RULES
@@ -246,11 +248,13 @@ class Harness:
         self.next_birth = 0
         self.store_dir = store_dir
         # Long-lived: consumes the delta log across the whole run.
-        self.wellformed = GSN_STANDARD_RULES.incremental(self.argument)
+        self.wellformed = IncrementalChecker(
+            self.argument, GSN_STANDARD_RULES.rules
+        )
         # Long-lived obligation checker: standard rules + the formal
         # evidence-discharge rule over the randomly stamped obligations.
         self.obligation_wellformed = \
-            GSN_OBLIGATION_RULES.incremental(self.argument)
+            IncrementalChecker(self.argument, GSN_OBLIGATION_RULES.rules)
         # Long-lived journal session: the store under journal_store is
         # only ever updated through save(journal=True) appends (plus
         # periodic compaction), and stored_wellformed re-checks it from
@@ -380,7 +384,7 @@ class Harness:
         # (delta replay, cached per-rule violation maps) equals a fresh
         # full check after every step ...
         incremental_violations = self.wellformed.check()
-        fresh_violations = GSN_STANDARD_RULES.check(argument)
+        fresh_violations = list(repro.check(argument))
         assert incremental_violations == fresh_violations, (
             f"step {step_number}: incremental well-formedness diverged "
             "from a fresh full check"
@@ -391,7 +395,9 @@ class Harness:
         # step bounds the extra full-check cost.
         if step_number % 3 == 0:
             incremental_obligations = self.obligation_wellformed.check()
-            fresh_obligations = GSN_OBLIGATION_RULES.check(argument)
+            fresh_obligations = list(
+                repro.check(argument, GSN_OBLIGATION_RULES)
+            )
             assert incremental_obligations == fresh_obligations, (
                 f"step {step_number}: incremental obligation check "
                 "diverged from a fresh full check"
@@ -404,7 +410,7 @@ class Harness:
             store = self.store_dir / "invariant.store"
             argument.save(store)
             stored = StoredArgument(store)
-            streamed = GSN_STANDARD_RULES.check(stored, mode="streaming")
+            streamed = list(repro.check(stored, mode="streaming"))
             assert streamed == fresh_violations, (
                 f"step {step_number}: streaming check over the saved "
                 "store diverged"
@@ -434,8 +440,8 @@ class Harness:
             if self.stored_wellformed is None:
                 self.checker_store = StoredArgument(self.journal_store)
                 self.stored_wellformed = \
-                    GSN_STANDARD_RULES.incremental_from_store(
-                        self.checker_store
+                    IncrementalChecker.from_store(
+                        self.checker_store, GSN_STANDARD_RULES.rules
                     )
             assert self.stored_wellformed.check() == fresh_violations, (
                 f"step {step_number}: store-backed incremental check "
@@ -631,7 +637,7 @@ def test_incremental_reproves_only_touched_obligations() -> None:
         ))
         argument.add_link("g0", f"sn{index}", LinkKind.SUPPORTED_BY)
 
-    checker = GSN_OBLIGATION_RULES.incremental(argument)
+    checker = IncrementalChecker(argument, GSN_OBLIGATION_RULES.rules)
     baseline = checker.check()
     assert [v.rule for v in baseline] == []
 
@@ -649,7 +655,7 @@ def test_incremental_reproves_only_touched_obligations() -> None:
     assert hits_after == hits_before, (
         "untouched claims' cached proofs must not even be consulted"
     )
-    assert violations == GSN_OBLIGATION_RULES.check(argument)
+    assert violations == list(repro.check(argument, GSN_OBLIGATION_RULES))
 
 
 def test_oversized_delta_declined_in_favour_of_rebuild() -> None:

@@ -11,6 +11,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
 from repro.logic import propositional as prop
@@ -273,14 +274,13 @@ def test_well_typed_pattern_instantiations_are_well_formed(
     system, hazards, risk
 ):
     from repro.core.patterns import Binding, hazard_avoidance_pattern
-    from repro.core.wellformed import is_well_formed
 
     pattern = hazard_avoidance_pattern()
     argument = pattern.instantiate(Binding.of(
         system=f"System {system}", hazards=list(hazards),
         residual_risk=risk,
     ))
-    assert is_well_formed(argument)
+    assert repro.check(argument).well_formed
     assert len(argument) == 4 + 2 * len(hazards)
 
 
@@ -343,7 +343,6 @@ def test_detector_validates_clean_arguments(seed):
 @settings(max_examples=25, deadline=None)
 def test_injected_informal_fallacies_stay_well_formed(seed):
     from repro.core.builder import ArgumentBuilder
-    from repro.core.wellformed import is_well_formed
     from repro.fallacies.injector import inject_informal
     from repro.fallacies.taxonomy import GREENWELL_FINDINGS
 
@@ -372,7 +371,7 @@ def test_injected_informal_fallacies_stay_well_formed(seed):
             if rule.name != "goal-not-proposition"
         ),
     )
-    assert structural.is_well_formed(mutated)
+    assert repro.check(mutated, structural).well_formed
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 from typing import Any
 
@@ -292,6 +293,27 @@ class TestErrorContract:
             assert b"JSON" in response.read()
         finally:
             connection.close()
+
+    @pytest.mark.parametrize("declared", ["abc", "-5", "1e3", ""])
+    def test_malformed_content_length_is_400(self, served, declared):
+        request = (
+            f"POST /stores/{STORE}/query HTTP/1.1\r\n"
+            f"Content-Length: {declared}\r\n\r\n"
+        ).encode("latin-1")
+        with socket.create_connection(
+            (served.host, served.port), timeout=10
+        ) as connection:
+            connection.sendall(request)
+            # Framing errors answer, then close: read to end of stream.
+            reply = connection.makefile("rb").read()
+        assert reply.startswith(b"HTTP/1.1 400 "), reply
+        assert b"Content-Length" in reply
+
+    def test_full_check_mode_is_400_listing_the_modes(self, served):
+        with pytest.raises(ServiceClientError) as excinfo:
+            served.client().check(STORE, mode="full")
+        assert excinfo.value.status == 400
+        assert "auto, serial, streaming, parallel" in excinfo.value.detail
 
 
 class TestAppendProtocol:

@@ -15,15 +15,12 @@ import random
 import pytest
 
 from repro.analysis_static import (
-    KIND_HYDRATION,
     KIND_MUTATION,
     KIND_NONDETERMINISM,
     KIND_UNDECLARED,
     SEVERITY_ERROR,
-    SEVERITY_WARNING,
     audit_rule,
     audit_streaming_scan,
-    errors_only,
 )
 from repro.analysis_static.gate import (
     SHIPPED_FINDINGS,
@@ -36,9 +33,7 @@ from repro.core.analysis import Violation, global_rule, per_link, per_node
 from repro.core.wellformed import (
     DENNEY_PAI_RULES,
     GSN_STANDARD_RULES,
-    Rule,
     RuleSet,
-    scoped_from_legacy,
 )
 from repro.fallacies.informal import PER_NODE_HEURISTICS
 
@@ -59,8 +54,20 @@ def _gallery_undeclared(node, ctx) -> "list[Violation]":
     return []
 
 
+# ctx.argument() is outside every scope's surface: an error in node,
+# link and global rules alike.
 def _gallery_hydrating(node, ctx) -> "list[Violation]":
-    argument = ctx.argument()  # the hydration escape hatch
+    argument = ctx.argument()
+    return [] if argument else []
+
+
+def _gallery_hydrating_link(link, ctx) -> "list[Violation]":
+    argument = ctx.argument()
+    return [] if argument else []
+
+
+def _gallery_hydrating_global(ctx) -> "list[Violation]":
+    argument = ctx.argument()
     return [] if argument else []
 
 
@@ -111,8 +118,19 @@ GALLERY = [
     ),
     (
         per_node("g-hydrating", "hydrates", _gallery_hydrating),
-        KIND_HYDRATION,
+        KIND_UNDECLARED,
         _gallery_hydrating,
+    ),
+    (
+        per_link("g-hydrating-link", "hydrates", _gallery_hydrating_link),
+        KIND_UNDECLARED,
+        _gallery_hydrating_link,
+    ),
+    (
+        global_rule("g-hydrating-global", "hydrates",
+                    _gallery_hydrating_global),
+        KIND_UNDECLARED,
+        _gallery_hydrating_global,
     ),
     (
         per_node("g-mutating", "mutates", _gallery_mutating),
@@ -194,25 +212,11 @@ def test_closure_based_rule_is_audited_through_the_cell() -> None:
     assert any(f.kind == KIND_NONDETERMINISM for f in findings)
 
 
-def test_legacy_adapter_earns_hydration_warning_not_error() -> None:
-    legacy = Rule(
-        "legacy-everything",
-        "a whole-argument rule",
-        lambda argument: [],
-    )
-    adapted = scoped_from_legacy(legacy)
-    findings = audit_rule(adapted)
-    hydration = [f for f in findings if f.kind == KIND_HYDRATION]
-    assert hydration, "the adapter's ctx.argument() call must surface"
-    assert all(f.severity == SEVERITY_WARNING for f in hydration)
-    assert not errors_only(hydration)
-
-
 def test_streaming_scan_flagging_ensure_argument() -> None:
     from repro.fallacies.informal import hasty_generalisation_heuristic
 
     findings = audit_streaming_scan(hasty_generalisation_heuristic)
-    assert any(f.kind == KIND_HYDRATION for f in findings), (
+    assert any(f.kind == KIND_UNDECLARED for f in findings), (
         "the documented hydrating heuristic must be flagged when held "
         "to the streaming contract"
     )
@@ -244,7 +248,7 @@ def test_gate_raises_listing_every_error() -> None:
     rule = per_node("g-hydrating", "hydrates", _gallery_hydrating)
     with pytest.raises(AuditGateError, match="g-hydrating") as excinfo:
         assert_shipped_clean(audit_rule(rule))
-    assert "hydration-forcing" in str(excinfo.value)
+    assert "undeclared-context-access" in str(excinfo.value)
 
 
 def test_gate_tracks_all_shipped_rule_sets() -> None:

@@ -22,10 +22,10 @@ import json
 
 import pytest
 
+from repro import check
 from repro.core.argument import Argument, LinkKind
 from repro.core.case import AssuranceCase
 from repro.core.nodes import Node, NodeType
-from repro.core.wellformed import check
 from repro.store import StoredArgument, StoreCorruptionError, StoreError
 
 pytestmark = pytest.mark.store
@@ -105,7 +105,8 @@ def test_streaming_wellformedness_matches_plain(argument, tmp_path):
     argument.save(tmp_path / "gz.store", compression="gzip")
     plain = StoredArgument(tmp_path / "plain.store")
     compressed = StoredArgument(tmp_path / "gz.store")
-    assert check(compressed) == check(plain) == check(argument)
+    assert list(check(compressed)) == list(check(plain)) == \
+        list(check(argument))
     assert not compressed.hydrated
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import canonical_argument, random_argument
+from repro import check
 from repro.core.argument import Argument
 from repro.core.nodes import NodeType
 from repro.core.query import (
@@ -33,7 +34,6 @@ from repro.core.query import (
     select,
     text_contains,
 )
-from repro.core.wellformed import check
 from repro.store import StoredArgument, save_argument
 
 pytestmark = pytest.mark.store
@@ -77,7 +77,7 @@ def _assert_conformant(argument: Argument, tmp_path) -> None:
     assert canonical_argument(loaded) == canonical_argument(argument)
     assert loaded.name == argument.name
     assert loaded.statistics() == argument.statistics()
-    assert check(loaded) == check(argument), (
+    assert list(check(loaded)) == list(check(argument)), (
         "loading changed the well-formedness violations"
     )
     # Insertion order survives the shard merge: planner-backed selects

@@ -19,9 +19,10 @@ from zlib import crc32
 
 import pytest
 
+from repro import check
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
-from repro.core.wellformed import DENNEY_PAI_RULES, check
+from repro.core.wellformed import DENNEY_PAI_RULES
 from repro.store import StoredArgument, StoreCorruptionError, StoreError
 
 pytestmark = pytest.mark.store
@@ -58,11 +59,11 @@ def test_loaded_argument_has_identical_violations(
     store_dir = tmp_path / "ill.store"
     ill_formed_argument.save(store_dir)
     loaded = Argument.load(store_dir)
-    expected = check(ill_formed_argument)
+    expected = list(check(ill_formed_argument))
     assert expected, "fixture must actually violate rules"
-    assert check(loaded) == expected
-    assert check(loaded, DENNEY_PAI_RULES) == \
-        check(ill_formed_argument, DENNEY_PAI_RULES)
+    assert list(check(loaded)) == expected
+    assert list(check(loaded, DENNEY_PAI_RULES)) == \
+        list(check(ill_formed_argument, DENNEY_PAI_RULES))
 
 
 def test_check_accepts_stored_argument_directly(
@@ -71,7 +72,7 @@ def test_check_accepts_stored_argument_directly(
     store_dir = tmp_path / "ill.store"
     ill_formed_argument.save(store_dir)
     stored = StoredArgument(store_dir)
-    assert check(stored) == check(ill_formed_argument)
+    assert list(check(stored)) == list(check(ill_formed_argument))
     # The check hydrated by iterating shards.
     assert stored.shards_read
 
@@ -93,9 +94,9 @@ def test_cyclic_stored_argument_still_flagged(tmp_path) -> None:
         ("G2", "G1", LinkKind.SUPPORTED_BY),
     ])
     argument.save(tmp_path / "cyclic.store")
-    violations = check(Argument.load(tmp_path / "cyclic.store"))
+    violations = list(check(Argument.load(tmp_path / "cyclic.store")))
     assert any(v.rule == "acyclic" for v in violations)
-    assert violations == check(argument)
+    assert violations == list(check(argument))
 
 
 # -- corruption fixtures ----------------------------------------------------
